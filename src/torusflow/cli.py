@@ -10,6 +10,7 @@ only the manifest timestamp varies between identical runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -19,10 +20,10 @@ import time
 
 from . import __version__
 from .analysis import AggregateMetrics, aggregate_sweep
-from .forwarding import EngineConfig, Method, route_packet
-from .montecarlo import ExperimentConfig, replicate_inputs, run_sweep
-from .potential import compute_potential
-from .topology import FailureMode, build_torus
+from .forwarding import EngineConfig, HopKind, Method, _route_indexed
+from .montecarlo import ExperimentConfig, _replicate_setup, run_sweep
+from .potential import _dest_tables
+from .topology import Direction, FailureMode, build_torus
 
 REGIMES = {
     "low": (0.0001, 0.01),
@@ -189,17 +190,25 @@ def fmt_real(x) -> str:
     return s.rstrip(".") if s.endswith(".") else s
 
 
-def _atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text handle on a temporary file beside path; the file replaces path
+    when the block completes and is deleted when it raises."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str):
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def _render_cell(name: str, value) -> str:
@@ -268,29 +277,32 @@ def emit_plot_data(metrics, config: ExperimentConfig, figure: str, path: str,
 
 
 def emit_traces(config: ExperimentConfig, path: str):
-    """One csv line per hop of every packet, replayable from the config."""
+    """One csv line per hop of every packet, replayable from the config.
+    The file is written one replicate at a time."""
     engine = config.resolved_engine()
-    topo = build_torus(config.rows, config.cols)
-    lines = ["packet,method,hop,from,to,dir,kind,phi_from,phi_to"]
-    for p_index, p in enumerate(config.p_values):
-        for rep in range(config.replicates):
-            scenario, pairs = replicate_inputs(config, p, p_index, rep)
-            for k, (src, dst) in enumerate(pairs):
-                phi = compute_potential(topo, dst)
-                for method in config.methods:
-                    outcome = route_packet(
-                        scenario, method, src, dst, engine, record_trace=True
-                    )
-                    pid = f"p{p_index}.r{rep}.{k}"
-                    for i, hop in enumerate(outcome.trace):
-                        lines.append(
-                            f"{pid},{method.name},{i},"
-                            f"{hop.from_node[0]}:{hop.from_node[1]},"
-                            f"{hop.to_node[0]}:{hop.to_node[1]},"
-                            f"{hop.direction.name},{hop.kind.value},"
-                            f"{phi.at(hop.from_node)},{phi.at(hop.to_node)}"
-                        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows, cols = config.rows, config.cols
+    labels = [f"{r}:{c}" for r in range(rows) for c in range(cols)]
+    directions = tuple(d.name for d in Direction)
+    kinds = tuple(k.value for k in HopKind)
+    with _atomic_open(path) as out:
+        out.write("packet,method,hop,from,to,dir,kind,phi_from,phi_to\n")
+        for p_index, p in enumerate(config.p_values):
+            for rep in range(config.replicates):
+                scenario, pairs = _replicate_setup(config, p, p_index, rep)
+                lines = []
+                for k, (src, dst) in enumerate(pairs):
+                    phi, _ = _dest_tables(rows, cols, dst)
+                    for method in config.methods:
+                        trace = _route_indexed(
+                            scenario, method, src, dst, engine.sst, engine.ttl, True
+                        )[3]
+                        head = f"p{p_index}.r{rep}.{k},{method.name}"
+                        for i, (a, b, d, kind) in enumerate(trace):
+                            lines.append(
+                                f"{head},{i},{labels[a]},{labels[b]},{directions[d]},"
+                                f"{kinds[kind]},{phi[a]},{phi[b]}\n"
+                            )
+                out.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,6 @@ def route_packet(
     )
     records = ()
     if trace:
-        phi, _ = _dest_tables(topo.rows, topo.cols, topo.node_index(dst))
         records = tuple(
             HopRecord(
                 topo.node_at(a),

@@ -21,6 +21,7 @@ from .topology import (
     apply_bond_failures,
     apply_site_failures,
     build_torus,
+    largest_component_fraction,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -116,13 +117,6 @@ class ReplicateResult:
     structurally_unreachable_pairs: int
 
 
-def _make_scenario(config: ExperimentConfig, p: float, scenario_seed: int) -> FailureScenario:
-    topo = build_torus(config.rows, config.cols)
-    if config.mode is FailureMode.BOND:
-        return apply_bond_failures(topo, p, scenario_seed)
-    return apply_site_failures(topo, p, scenario_seed)
-
-
 def _sample_pair_indices(scenario: FailureScenario, traffic_seed: int, packets: int):
     """Uniform (src, dst) node indices over alive nodes, src != dst. Both
     endpoint batches are drawn first, then repeated collisions are redrawn
@@ -130,7 +124,7 @@ def _sample_pair_indices(scenario: FailureScenario, traffic_seed: int, packets: 
     bits = scenario._node_bits
     alive = [i for i in range(len(bits)) if bits[i]]
     if len(alive) < 2:
-        return alive, []
+        return []
     rng = np.random.default_rng(traffic_seed)
     srcs = rng.integers(0, len(alive), size=packets)
     dsts = rng.integers(0, len(alive), size=packets)
@@ -141,7 +135,26 @@ def _sample_pair_indices(scenario: FailureScenario, traffic_seed: int, packets: 
         while t == s:
             t = alive[rng.integers(0, len(alive))]
         pairs.append((s, t))
-    return alive, pairs
+    return pairs
+
+
+def _replicate_setup(
+    config: ExperimentConfig, p: float, p_index: int, replicate_index: int
+):
+    """Scenario and (src, dst) node index pairs of one replicate, each drawn
+    from its own seed derived from the cell key. No pairs when fewer than
+    two nodes are alive."""
+    rep_seed = seed_for(config.master_seed, p_index, replicate_index)
+    topo = build_torus(config.rows, config.cols)
+    if config.mode is FailureMode.BOND:
+        draw = apply_bond_failures
+    else:
+        draw = apply_site_failures
+    scenario = draw(topo, p, _mix64(rep_seed ^ _SCENARIO_SALT))
+    pairs = _sample_pair_indices(
+        scenario, _mix64(rep_seed ^ _TRAFFIC_SALT), config.packets_per_replicate
+    )
+    return scenario, pairs
 
 
 def replicate_inputs(
@@ -149,11 +162,7 @@ def replicate_inputs(
 ):
     """The exact scenario and (src, dst) pairs a replicate routes, for trace
     dumps and for re-deriving tallies with independent code."""
-    rep_seed = seed_for(config.master_seed, p_index, replicate_index)
-    scenario = _make_scenario(config, p, _mix64(rep_seed ^ _SCENARIO_SALT))
-    _, pairs = _sample_pair_indices(
-        scenario, _mix64(rep_seed ^ _TRAFFIC_SALT), config.packets_per_replicate
-    )
+    scenario, pairs = _replicate_setup(config, p, p_index, replicate_index)
     topo = scenario.topology
     return scenario, [(topo.node_at(s), topo.node_at(t)) for s, t in pairs]
 
@@ -161,17 +170,11 @@ def replicate_inputs(
 def run_replicate(
     config: ExperimentConfig, p: float, p_index: int, replicate_index: int
 ) -> ReplicateResult:
-    from .topology import largest_component_fraction
-
-    rep_seed = seed_for(config.master_seed, p_index, replicate_index)
-    scenario = _make_scenario(config, p, _mix64(rep_seed ^ _SCENARIO_SALT))
+    scenario, pairs = _replicate_setup(config, p, p_index, replicate_index)
     packets = config.packets_per_replicate
-    alive, pairs = _sample_pair_indices(
-        scenario, _mix64(rep_seed ^ _TRAFFIC_SALT), packets
-    )
     cc_fraction = largest_component_fraction(scenario)
 
-    if len(alive) < 2:
+    if not pairs:
         # not enough survivors to form a pair; every notional packet is
         # structurally undeliverable
         dead_tally = MethodTally(dropped_unreachable_dest=packets)

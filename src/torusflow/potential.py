@@ -5,12 +5,17 @@ torus. Routing tables are frozen against that intact-network potential and
 are never updated after failures; the forwarding strategies differ only in
 what they do when the table's port is dead. A hop is a forward hop when it
 strictly lowers the potential, otherwise it is a reverse hop.
+
+The intact torus is translation symmetric, so every destination's tables
+are a cyclic shift of the tables for node index 0, and those have a closed
+form in the minimal signed offsets. Per-destination tables are cached in a
+bounded LRU cache of 256 entries, so memory does not grow with the square of
+the node count.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,34 +72,52 @@ class FlowFieldClass(Enum):
 
 
 @functools.lru_cache(maxsize=None)
+def _base_tables(rows: int, cols: int):
+    """Potential and egress rows for destination index 0, each row doubled
+    so that a cyclic shift is one slice. A node's minimal signed offsets
+    (dr, dc) from the destination, as in signed_offsets, give potential
+    |dr| + |dc|; its egress is the first port in N, E, S, W order whose
+    neighbor lies one step closer, -1 at the destination."""
+    phi_rows, nxt_rows = [], []
+    for r in range(rows):
+        dr = r - rows if 2 * r > rows else r
+        phi_row, nxt_row = [], []
+        for c in range(cols):
+            dc = c - cols if 2 * c > cols else c
+            phi_row.append(abs(dr) + abs(dc))
+            if dr > 0:
+                d = Direction.N
+            elif dc < 0 or 2 * dc == cols:
+                d = Direction.E
+            elif dr < 0 or 2 * dr == rows:
+                d = Direction.S
+            elif dc > 0:
+                d = Direction.W
+            else:
+                d = -1
+            nxt_row.append(int(d))
+        phi_rows.append(phi_row + phi_row)
+        nxt_rows.append(nxt_row + nxt_row)
+    return phi_rows, nxt_rows
+
+
+@functools.lru_cache(maxsize=256)
 def _dest_tables(rows: int, cols: int, dest_index: int):
-    """(potential, egress direction) flat lists for one destination, built
-    by breadth-first search over the intact torus. Cached per destination;
-    the lists are shared and must not be mutated."""
-    n = rows * cols
-    nbr = _neighbor_table(rows, cols)
-    phi = [-1] * n
-    phi[dest_index] = 0
-    queue = deque([dest_index])
-    while queue:
-        v = queue.popleft()
-        pv = phi[v] + 1
-        base = 4 * v
-        for d in range(4):
-            u = nbr[base + d]
-            if phi[u] < 0:
-                phi[u] = pv
-                queue.append(u)
-    nxt = [-1] * n
-    for v in range(n):
-        if v == dest_index:
-            continue
-        want = phi[v] - 1
-        base = 4 * v
-        for d in range(4):
-            if phi[nbr[base + d]] == want:
-                nxt[v] = d
-                break
+    """(potential, egress direction) flat lists for one destination: the
+    closed-form tables of destination index 0 shifted cyclically by the
+    destination's row and column. At most 256 destinations stay cached,
+    every destination of a 16x16 torus; the lists are shared and must not
+    be mutated."""
+    dest_r, dest_c = divmod(dest_index, cols)
+    phi_rows, nxt_rows = _base_tables(rows, cols)
+    lo, hi = cols - dest_c, 2 * cols - dest_c
+    # preallocated so that the cached lists carry no spare capacity
+    phi = [0] * (rows * cols)
+    nxt = [0] * (rows * cols)
+    for r in range(rows):
+        base_r = (r - dest_r) % rows
+        phi[r * cols:(r + 1) * cols] = phi_rows[base_r][lo:hi]
+        nxt[r * cols:(r + 1) * cols] = nxt_rows[base_r][lo:hi]
     return phi, nxt
 
 

@@ -1,0 +1,69 @@
+"""Golden output digests: fixed CLI configs must keep their exact bytes.
+
+Each case runs the CLI in-process and compares the SHA-256 of its output
+files with digests recorded before the closed-form potential tables replaced
+the per-destination BFS. A change to an engine, a table, the sampling or the
+rendering that moves any number changes a digest. Re-record a digest only
+for a deliberate change of output, and say so where the change is described.
+"""
+
+import hashlib
+
+import pytest
+
+from torusflow.cli import main, parse_args
+from torusflow.montecarlo import replicate_inputs
+
+CASES = {
+    "bond9x12_sst3": (
+        "--rows 9 --cols 12 --mode bond --sst 3 --p 0.02,0.08,0.2 "
+        "--replicates 30 --packets-per-replicate 40 --seed 7",
+        {
+            "aggregate.csv":
+                "5c866374bc1fe1b5322fb69a92206641cb1d608be275a685909bba0920ea1eba",
+        },
+    ),
+    "site5x7": (
+        "--rows 5 --cols 7 --mode site --p 0.05,0.15,0.3 "
+        "--replicates 30 --packets-per-replicate 40 --seed 3 --dump-traces",
+        {
+            "aggregate.csv":
+                "5fcb2749f1057b44b83da59db730166c499944ccd8148e7ba725c30272779dca",
+            "traces.csv":
+                "1d933a3b92556db2e857e0e09195744a5861f7cbf95b25c87e85f15375870a1c",
+        },
+    ),
+    # 320 routed pairs with more distinct destinations than the potential
+    # table cache holds, so the cache evicts during the run
+    "site64_low": (
+        "--rows 64 --cols 64 --mode site --regime low --points 4 "
+        "--replicates 8 --packets-per-replicate 10 --seed 0",
+        {
+            "aggregate.csv":
+                "f9dfc2d06f29a1350f93ec7481546cfedde040418797284413267ce8055505ed",
+        },
+    ),
+}
+
+
+def sha256(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digests(name, tmp_path):
+    args, digests = CASES[name]
+    assert main(args.split() + ["--out-dir", str(tmp_path)]) == 0
+    got = {file: sha256(tmp_path / file) for file in digests}
+    assert got == digests
+
+
+def test_site64_case_evicts_the_table_cache():
+    config, _ = parse_args(CASES["site64_low"][0].split())
+    destinations = set()
+    for p_index, p in enumerate(config.p_values):
+        for rep in range(config.replicates):
+            _, pairs = replicate_inputs(config, p, p_index, rep)
+            destinations.update(dst for _, dst in pairs)
+    assert len(destinations) > 256

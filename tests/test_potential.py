@@ -1,11 +1,13 @@
 """Potential field, frozen routing tables and flow-field geometry."""
 
 import random
+from collections import deque
 
 import pytest
 
 from torusflow.potential import (
     FlowFieldClass,
+    _dest_tables,
     classify_flow_field,
     compute_potential,
     forward_reachable_set,
@@ -45,6 +47,48 @@ def test_potential_equals_torus_distance_exhaustively():
             phi = compute_potential(topo, dest)
             for v in all_nodes(topo):
                 assert phi.at(v) == torus_distance(topo, v, dest)
+
+
+def neighbor_indices(topo):
+    nodes = all_nodes(topo)
+    return [
+        [topo.node_index(neighbor(topo, v, d)) for d in DIRECTIONS] for v in nodes
+    ]
+
+
+def bfs_tables(nbrs, dest_index):
+    """Independent oracle: breadth-first search over the intact torus for the
+    potential, then the first descending port in N, E, S, W order."""
+    phi = [-1] * len(nbrs)
+    phi[dest_index] = 0
+    queue = deque([dest_index])
+    while queue:
+        v = queue.popleft()
+        for u in nbrs[v]:
+            if phi[u] < 0:
+                phi[u] = phi[v] + 1
+                queue.append(u)
+    nxt = [-1] * len(nbrs)
+    for v, around in enumerate(nbrs):
+        if v != dest_index:
+            nxt[v] = next(d for d, u in enumerate(around) if phi[u] == phi[v] - 1)
+    return phi, nxt
+
+
+def test_dest_tables_match_bfs_oracle_on_every_shape():
+    for rows in range(3, 14):
+        for cols in range(3, 14):
+            nbrs = neighbor_indices(build_torus(rows, cols))
+            for dest_index in range(rows * cols):
+                phi, nxt = _dest_tables(rows, cols, dest_index)
+                assert (phi, nxt) == bfs_tables(nbrs, dest_index), (
+                    rows, cols, dest_index)
+
+
+def test_dest_tables_cache_is_bounded():
+    for dest_index in range(64 * 64):
+        _dest_tables(64, 64, dest_index)
+    assert _dest_tables.cache_info().currsize <= 256
 
 
 def test_potential_spot_check_large():
