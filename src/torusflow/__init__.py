@@ -16,7 +16,6 @@ from .forwarding import (
     HopRecord,
     Method,
     PacketOutcome,
-    Policy,
     Verdict,
     default_engine_config,
     route_packet,
@@ -38,7 +37,6 @@ from .potential import (
     compute_potential,
     forward_reachable_set,
     is_forward_edge,
-    next_hop,
     routing_table,
     signed_offsets,
 )

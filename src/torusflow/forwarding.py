@@ -25,8 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .potential import PotentialField, RoutingTable, _dest_tables
+from .potential import _dest_tables
 from .topology import (
+    _CLOCKWISE as _CW,
+    _COUNTERCW as _CCW,
+    _OPPOSITE as _OPP,
     Direction,
     FailureScenario,
     NodeId,
@@ -36,21 +39,12 @@ from .topology import (
     is_node_alive,
 )
 
-_OPP = (2, 3, 0, 1)
-_CW = (1, 2, 3, 0)
-_CCW = (3, 0, 1, 2)
-
 
 class Method(Enum):
     NF = "NF"
     LFA = "LFA"
     RF_CF = "RF_CF"
     RF_LF = "RF_LF"
-
-
-class Policy(Enum):
-    OPPOSITE_FIRST = 0
-    SIDE_FIRST = 1
 
 
 class HopKind(Enum):
@@ -62,7 +56,6 @@ class Verdict(Enum):
     DELIVERED = "delivered"
     DROPPED_NO_EGRESS = "dropped_no_egress"
     DROPPED_TTL = "dropped_ttl"
-    DROPPED_UNREACHABLE_DEST = "dropped_unreachable_dest"
 
 
 @dataclass(frozen=True)
@@ -101,45 +94,31 @@ class PacketOutcome:
     annihilation_points: tuple[NodeId, ...]
 
 
-def base_policy(method: Method) -> Policy:
-    if method is Method.RF_CF:
-        return Policy.OPPOSITE_FIRST
-    if method is Method.RF_LF:
-        return Policy.SIDE_FIRST
-    raise ValueError(f"{method} has no reverse-flow policy")
-
-
-def switch_policy(policy: Policy) -> Policy:
-    return Policy(policy.value ^ 1)
-
-
 # ---------------------------------------------------------------------------
 # egress choice helpers; `base` is 4 * node_index into the port aliveness bits
 
 def _gen_egress(ports, base: int, ref: int, policy: int) -> int:
     """Alternative egress when the table port `ref` is dead, or -1 to drop.
-    With exactly two alive ports only the opposite of the dead port is
-    considered; with three or more the policy order decides."""
+    Requires `ref` dead, which is the only case the engine calls it in, so
+    at most three ports are alive. With three, the counter-facing policy
+    (0) takes the opposite port and the lateral-facing one (1) the
+    clockwise port; with two, only the opposite of the dead port counts;
+    with fewer the packet is dropped."""
     k = ports[base] + ports[base + 1] + ports[base + 2] + ports[base + 3]
-    if k <= 1:
-        return -1
-    if k == 2:
-        d = _OPP[ref]
-        return d if ports[base + d] else -1
-    if policy == 0:
-        order = (_OPP[ref], _CW[ref], _CCW[ref])
-    else:
-        order = (_CW[ref], _CCW[ref], _OPP[ref])
-    for d in order:
-        if ports[base + d]:
-            return d
+    if k == 3:
+        return _CW[ref] if policy else _OPP[ref]
+    if k == 2 and ports[base + _OPP[ref]]:
+        return _OPP[ref]
     return -1
 
 
 def _relay_egress(ports, base: int, ingress: int, policy: int) -> int:
-    """Egress for a recognized reverse-flow packet. Falls back to bouncing
-    out of the ingress port, which is alive by construction, so this always
-    returns a port."""
+    """Egress for a recognized reverse-flow packet. Requires the ingress
+    port alive, which holds because every hop takes an alive link. With
+    three or more alive ports at least two of the three candidates are
+    alive, so the policy order always yields one; with fewer the packet
+    goes out of the opposite port if it is alive, else bounces back out of
+    the ingress."""
     k = ports[base] + ports[base + 1] + ports[base + 2] + ports[base + 3]
     if k >= 3:
         if policy == 0:
@@ -149,7 +128,6 @@ def _relay_egress(ports, base: int, ingress: int, policy: int) -> int:
         for d in order:
             if ports[base + d]:
                 return d
-        return ingress
     if k == 2:
         d = _OPP[ingress]
         return d if ports[base + d] else ingress
@@ -331,73 +309,3 @@ def route_packet(
         used_reverse=rev_hops > 0,
         annihilation_points=tuple(topo.node_at(i) for i in annih) if annih else (),
     )
-
-
-# ---------------------------------------------------------------------------
-# step-level operations, exposed for direct inspection and tests
-
-def step_nf(scenario: FailureScenario, routing: RoutingTable, at: NodeId):
-    """Table egress if its link is alive, else None (drop)."""
-    d = routing.at(at)
-    if d is None:
-        raise ValueError("no egress at the destination")
-    base = 4 * scenario.topology.node_index(at)
-    return d if scenario._port_bits[base + d] else None
-
-
-def step_lfa(
-    scenario: FailureScenario,
-    routing: RoutingTable,
-    potential: PotentialField,
-    at: NodeId,
-):
-    """First alive strictly-descending port in N, E, S, W order, else None."""
-    d = routing.at(at)
-    if d is None:
-        raise ValueError("no egress at the destination")
-    topo = scenario.topology
-    ports = scenario._port_bits
-    nbr = _neighbor_table(topo.rows, topo.cols)
-    base = 4 * topo.node_index(at)
-    here = potential.table[base // 4]
-    for c in range(4):
-        if ports[base + c] and potential.table[nbr[base + c]] < here:
-            return Direction(c)
-    return None
-
-
-def rf_generate(
-    scenario: FailureScenario, at: NodeId, reference: Direction, policy: Policy
-):
-    """Alternative egress when the table port (reference) is dead; None
-    means the packet is dropped on the spot."""
-    base = 4 * scenario.topology.node_index(at)
-    d = _gen_egress(scenario._port_bits, base, int(reference), policy.value)
-    return Direction(d) if d >= 0 else None
-
-
-def rf_relay(
-    scenario: FailureScenario, at: NodeId, ingress: Direction, policy: Policy
-) -> Direction:
-    """Egress for a recognized reverse-flow packet; bounces back out of the
-    ingress port when every alternative is dead."""
-    base = 4 * scenario.topology.node_index(at)
-    return Direction(_relay_egress(scenario._port_bits, base, int(ingress), policy.value))
-
-
-def detect_reverse(routing: RoutingTable, at: NodeId, ingress: Direction) -> bool:
-    """A packet is in reverse flow at a node when the table would send it
-    straight back out of its ingress port."""
-    return routing.at(at) == ingress
-
-
-def annihilate_check(routing: RoutingTable, at: NodeId, ingress: Direction) -> bool:
-    """True when a reverse-flow packet stops being one at this node."""
-    return routing.at(at) != ingress
-
-
-def oscillation_check(policy: Policy, reverse_hops_since_event: int, sst: int):
-    """Flip the policy and restart the counter once it exceeds sst."""
-    if reverse_hops_since_event > sst:
-        return switch_policy(policy), 0
-    return policy, reverse_hops_since_event

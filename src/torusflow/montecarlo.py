@@ -97,14 +97,6 @@ class MethodTally:
     def lost(self) -> int:
         return self.dropped_no_egress + self.dropped_ttl + self.dropped_unreachable_dest
 
-    @property
-    def lost_by_reason(self) -> dict:
-        return {
-            "dropped_no_egress": self.dropped_no_egress,
-            "dropped_ttl": self.dropped_ttl,
-            "dropped_unreachable_dest": self.dropped_unreachable_dest,
-        }
-
 
 @dataclass(frozen=True)
 class ReplicateResult:

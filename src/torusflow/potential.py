@@ -132,20 +132,6 @@ def routing_table(topo: TorusTopology, dest: NodeId) -> RoutingTable:
     return RoutingTable(topo, tuple(dest), egress)
 
 
-def next_hop(topo: TorusTopology, potential: PotentialField, v: NodeId) -> Direction:
-    """Table egress at v: first direction in N, E, S, W order that strictly
-    descends the potential. Undefined at the destination."""
-    if tuple(v) == tuple(potential.dest):
-        raise ValueError("next_hop undefined at the destination")
-    nbr = _neighbor_table(topo.rows, topo.cols)
-    base = 4 * topo.node_index(v)
-    want = potential.table[base // 4] - 1
-    for d in range(4):
-        if potential.table[nbr[base + d]] == want:
-            return Direction(d)
-    raise AssertionError("no descending direction found")
-
-
 def is_forward_edge(potential: PotentialField, u: NodeId, v: NodeId) -> bool:
     """True when hopping u -> v strictly lowers the potential."""
     return potential.at(v) < potential.at(u)

@@ -1,4 +1,4 @@
-"""Per-packet forwarding: frozen traces, step primitives and random scans
+"""Per-packet forwarding: frozen traces, egress rules and random scans
 against the straight-line reference interpreter."""
 
 import random
@@ -10,19 +10,11 @@ from torusflow.forwarding import (
     EngineConfig,
     HopKind,
     Method,
-    Policy,
     Verdict,
-    annihilate_check,
-    base_policy,
+    _gen_egress,
+    _relay_egress,
     default_engine_config,
-    detect_reverse,
-    oscillation_check,
-    rf_generate,
-    rf_relay,
     route_packet,
-    step_lfa,
-    step_nf,
-    switch_policy,
 )
 from torusflow.potential import compute_potential, routing_table
 from torusflow.topology import (
@@ -65,27 +57,7 @@ def alive_pairs(scenario, rng, count):
 
 
 # ---------------------------------------------------------------------------
-# policy plumbing
-
-def test_base_policy_and_switch():
-    assert base_policy(Method.RF_CF) is Policy.OPPOSITE_FIRST
-    assert base_policy(Method.RF_LF) is Policy.SIDE_FIRST
-    for m in (Method.NF, Method.LFA):
-        with pytest.raises(ValueError):
-            base_policy(m)
-    assert switch_policy(Policy.OPPOSITE_FIRST) is Policy.SIDE_FIRST
-    assert switch_policy(Policy.SIDE_FIRST) is Policy.OPPOSITE_FIRST
-
-
-def test_oscillation_check_boundary():
-    sst = 3
-    assert oscillation_check(Policy.OPPOSITE_FIRST, 3, sst) == (
-        Policy.OPPOSITE_FIRST,
-        3,
-    )
-    assert oscillation_check(Policy.OPPOSITE_FIRST, 4, sst) == (Policy.SIDE_FIRST, 0)
-    assert oscillation_check(Policy.SIDE_FIRST, 0, sst) == (Policy.SIDE_FIRST, 0)
-
+# engine configuration
 
 def test_engine_config_validation():
     with pytest.raises(ValueError):
@@ -102,99 +74,105 @@ def test_default_engine_config_scales_with_diameter():
 
 
 # ---------------------------------------------------------------------------
-# step primitives
+# NF and LFA steps
 
 def test_step_nf_and_lfa():
     topo = build_torus(4, 4)
     dest = (0, 0)
     table = routing_table(topo, dest)
-    phi = compute_potential(topo, dest)
 
     intact = apply_bond_failures(topo, 0.0, seed=0)
-    assert step_nf(intact, table, (2, 3)) is table.at((2, 3))
-    assert step_lfa(intact, table, phi, (2, 3)) is table.at((2, 3))
-    with pytest.raises(ValueError):
-        step_nf(intact, table, dest)
-    with pytest.raises(ValueError):
-        step_lfa(intact, table, phi, dest)
+    for method in (Method.NF, Method.LFA):
+        out = route_packet(intact, method, (2, 3), dest)
+        assert out.trace[0].direction is table.at((2, 3))
+        with pytest.raises(ValueError):
+            route_packet(intact, method, dest, dest)
 
     # (0, 2) descends through E or W; kill E and LFA falls back to W
     broken = from_failed_links(topo, [((0, 2), E)])
     assert table.at((0, 2)) is E
-    assert step_nf(broken, table, (0, 2)) is None
-    assert step_lfa(broken, table, phi, (0, 2)) is W
+    nf = route_packet(broken, Method.NF, (0, 2), dest)
+    assert nf.verdict is Verdict.DROPPED_NO_EGRESS
+    assert nf.total_hops == 0
+    lfa = route_packet(broken, Method.LFA, (0, 2), dest)
+    assert lfa.verdict is Verdict.DELIVERED
+    assert hop_tuples(lfa) == [
+        ((0, 2), (0, 1), W, HopKind.FORWARD),
+        ((0, 1), (0, 0), W, HopKind.FORWARD),
+    ]
 
     # (0, 1) descends only through W; kill it and both drop
     cut = from_failed_links(topo, [((0, 1), W)])
-    assert step_nf(cut, table, (0, 1)) is None
-    assert step_lfa(cut, table, phi, (0, 1)) is None
+    for method in (Method.NF, Method.LFA):
+        out = route_packet(cut, method, (0, 1), dest)
+        assert out.verdict is Verdict.DROPPED_NO_EGRESS
+        assert out.total_hops == 0
 
 
-def test_detect_reverse_and_annihilate_are_complements():
-    topo = build_torus(4, 4)
-    table = routing_table(topo, (0, 0))
-    cases = [((2, 0), N), ((2, 0), E), ((0, 2), E), ((3, 1), S), ((1, 1), W)]
-    for at, ingress in cases:
-        assert detect_reverse(table, at, ingress) != annihilate_check(table, at, ingress)
-    assert detect_reverse(table, (2, 0), N)
-    assert annihilate_check(table, (2, 0), E)
+# ---------------------------------------------------------------------------
+# egress rules, on the states the engine calls them in
+
+def egress_args(scenario, at):
+    return scenario._port_bits, 4 * scenario.topology.node_index(at)
 
 
 def test_rf_generate_branches():
+    """Generation runs only with the table port dead."""
     topo = build_torus(4, 4)
     at = (1, 1)
-    intact = apply_bond_failures(topo, 0.0, seed=0)
+    cf, lf = 0, 1
 
-    # four alive ports: pure policy order around the reference
-    assert rf_generate(intact, at, N, Policy.OPPOSITE_FIRST) is S
-    assert rf_generate(intact, at, N, Policy.SIDE_FIRST) is E
-
-    # opposite dead: counter-facing policy falls through to clockwise
-    no_opp = from_failed_links(topo, [(at, S)])
-    assert rf_generate(no_opp, at, N, Policy.OPPOSITE_FIRST) is E
-    # clockwise dead: lateral policy falls through to counterclockwise
-    no_cw = from_failed_links(topo, [(at, E)])
-    assert rf_generate(no_cw, at, N, Policy.SIDE_FIRST) is W
+    # three alive ports: opposite for counter-facing, clockwise for lateral
+    no_ref = egress_args(from_failed_links(topo, [(at, N)]), at)
+    assert _gen_egress(*no_ref, N, cf) == S
+    assert _gen_egress(*no_ref, N, lf) == E
+    no_e = egress_args(from_failed_links(topo, [(at, E)]), at)
+    assert _gen_egress(*no_e, E, cf) == W
+    assert _gen_egress(*no_e, E, lf) == S
 
     # exactly two alive ports: only the opposite of the reference counts
-    two_opp = from_failed_links(topo, [(at, E), (at, W)])
-    assert rf_generate(two_opp, at, N, Policy.OPPOSITE_FIRST) is S
-    assert rf_generate(two_opp, at, N, Policy.SIDE_FIRST) is S
-    two_side = from_failed_links(topo, [(at, S), (at, E)])
-    assert rf_generate(two_side, at, N, Policy.OPPOSITE_FIRST) is None
-    assert rf_generate(two_side, at, N, Policy.SIDE_FIRST) is None
+    two_opp = egress_args(from_failed_links(topo, [(at, N), (at, E)]), at)
+    assert _gen_egress(*two_opp, N, cf) == S
+    assert _gen_egress(*two_opp, N, lf) == S
+    two_side = egress_args(from_failed_links(topo, [(at, N), (at, S)]), at)
+    assert _gen_egress(*two_side, N, cf) == -1
+    assert _gen_egress(*two_side, N, lf) == -1
 
     # one or zero alive ports: always drop
-    one = from_failed_links(topo, [(at, N), (at, E), (at, S)])
-    assert rf_generate(one, at, N, Policy.OPPOSITE_FIRST) is None
-    none = from_failed_links(topo, [(at, d) for d in (N, E, S, W)])
-    assert rf_generate(none, at, N, Policy.SIDE_FIRST) is None
+    one = egress_args(from_failed_links(topo, [(at, N), (at, E), (at, S)]), at)
+    assert _gen_egress(*one, N, cf) == -1
+    none = egress_args(from_failed_links(topo, [(at, d) for d in (N, E, S, W)]), at)
+    assert _gen_egress(*none, N, lf) == -1
 
 
 def test_rf_relay_branches_and_bounce():
+    """Relay runs only with the ingress port alive."""
     topo = build_torus(4, 4)
     at = (2, 2)
-    intact = apply_bond_failures(topo, 0.0, seed=0)
+    cf, lf = 0, 1
 
-    assert rf_relay(intact, at, N, Policy.OPPOSITE_FIRST) is S
-    assert rf_relay(intact, at, N, Policy.SIDE_FIRST) is E
+    intact = egress_args(apply_bond_failures(topo, 0.0, seed=0), at)
+    assert _relay_egress(*intact, N, cf) == S
+    assert _relay_egress(*intact, N, lf) == E
 
-    # three alive, opposite dead: counter-facing policy takes clockwise
-    no_opp = from_failed_links(topo, [(at, S)])
-    assert rf_relay(no_opp, at, N, Policy.OPPOSITE_FIRST) is E
+    # three alive, first choice dead: the policy order moves on
+    no_opp = egress_args(from_failed_links(topo, [(at, S)]), at)
+    assert _relay_egress(*no_opp, N, cf) == E
+    no_cw = egress_args(from_failed_links(topo, [(at, E)]), at)
+    assert _relay_egress(*no_cw, N, lf) == W
 
     # two alive with the opposite port up
-    two_opp = from_failed_links(topo, [(at, E), (at, W)])
-    assert rf_relay(two_opp, at, N, Policy.OPPOSITE_FIRST) is S
+    two_opp = egress_args(from_failed_links(topo, [(at, E), (at, W)]), at)
+    assert _relay_egress(*two_opp, N, cf) == S
 
     # two alive, opposite down: bounce back out of the ingress
-    two_side = from_failed_links(topo, [(at, E), (at, S)])
-    assert rf_relay(two_side, at, N, Policy.OPPOSITE_FIRST) is N
-    assert rf_relay(two_side, at, N, Policy.SIDE_FIRST) is N
+    two_side = egress_args(from_failed_links(topo, [(at, E), (at, S)]), at)
+    assert _relay_egress(*two_side, N, cf) == N
+    assert _relay_egress(*two_side, N, lf) == N
 
     # only the ingress left
-    one = from_failed_links(topo, [(at, E), (at, S), (at, W)])
-    assert rf_relay(one, at, N, Policy.SIDE_FIRST) is N
+    one = egress_args(from_failed_links(topo, [(at, E), (at, S), (at, W)]), at)
+    assert _relay_egress(*one, N, lf) == N
 
 
 # ---------------------------------------------------------------------------
@@ -509,3 +487,24 @@ def test_matches_reference_under_small_switch_thresholds():
             scen = apply_bond_failures(topo, 0.35, seed=8000 + seed)
             for src, dst in alive_pairs(scen, rng, 6):
                 assert_outcomes_match(scen, cfg, src, dst)
+
+
+def test_matches_reference_on_odd_and_rectangular_tori():
+    """Odd and unequal sides change where potentials tie and where the
+    antipodes fall; the scans above use the square 6x6 torus only."""
+    rng = random.Random(221)
+    shapes = ((3, 3), (3, 8), (5, 7), (7, 4), (9, 9), (4, 11), (10, 6))
+    for rows, cols in shapes:
+        topo = build_torus(rows, cols)
+        dflt = default_engine_config(topo)
+        configs = [EngineConfig(sst=sst, ttl=dflt.ttl) for sst in (1, 3)] + [dflt]
+        for seed in range(8):
+            scenarios = (
+                apply_bond_failures(topo, 0.1, seed=9000 + seed),
+                apply_bond_failures(topo, 0.3, seed=9000 + seed),
+                apply_site_failures(topo, 0.15, seed=9000 + seed),
+            )
+            for scen in scenarios:
+                for cfg in configs:
+                    for src, dst in alive_pairs(scen, rng, 8):
+                        assert_outcomes_match(scen, cfg, src, dst)

@@ -2,7 +2,9 @@
 
 Each case runs the CLI in-process and compares the SHA-256 of its output
 files with digests recorded before the closed-form potential tables replaced
-the per-destination BFS. A change to an engine, a table, the sampling or the
+the per-destination BFS; the two 16x16 cases on the acceptance grid were
+recorded before the step-level forwarding API and the unreachable egress
+branches were deleted. A change to an engine, a table, the sampling or the
 rendering that moves any number changes a digest. Re-record a digest only
 for a deliberate change of output, and say so where the change is described.
 """
@@ -11,10 +13,29 @@ import hashlib
 
 import pytest
 
-from torusflow.cli import main, parse_args
+from torusflow.cli import log_spaced, main, parse_args
 from torusflow.montecarlo import replicate_inputs
 
+# the acceptance tests' 20-point grid, passed as explicit values
+ACCEPTANCE_GRID = ",".join(repr(p) for p in log_spaced(0.0001, 1.0, 20))
+
 CASES = {
+    "bond16_acceptance_grid": (
+        f"--rows 16 --cols 16 --mode bond --p {ACCEPTANCE_GRID} "
+        "--replicates 10 --packets-per-replicate 100 --seed 0",
+        {
+            "aggregate.csv":
+                "a101a0346cfc608fb54211adf4a2aa4015445f5110a4608320eed0afd665e120",
+        },
+    ),
+    "site16_acceptance_grid": (
+        f"--rows 16 --cols 16 --mode site --p {ACCEPTANCE_GRID} "
+        "--replicates 10 --packets-per-replicate 100 --seed 0",
+        {
+            "aggregate.csv":
+                "29c95c043a231e919263ae90eaee4a905e64682eda3e72fdd77fee0fe4c617f2",
+        },
+    ),
     "bond9x12_sst3": (
         "--rows 9 --cols 12 --mode bond --sst 3 --p 0.02,0.08,0.2 "
         "--replicates 30 --packets-per-replicate 40 --seed 7",

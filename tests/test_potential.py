@@ -12,7 +12,6 @@ from torusflow.potential import (
     compute_potential,
     forward_reachable_set,
     is_forward_edge,
-    next_hop,
     routing_table,
     signed_offsets,
 )
@@ -109,44 +108,20 @@ def test_potential_is_lipschitz_on_links():
             assert abs(phi.at(a) - phi.at(b)) <= 1
 
 
-def test_next_hop_tie_break_frozen():
+def test_routing_table_tie_break_frozen():
     """Ambiguous egress goes to the first descending port in N, E, S, W
     order; these instances pin the order down."""
-    topo = build_torus(4, 4)
-    phi = compute_potential(topo, (0, 0))
+    table = routing_table(build_torus(4, 4), (0, 0))
+    assert table.at((0, 0)) is None
     # antipodal column: E and W both descend, E comes first
-    assert next_hop(topo, phi, (0, 2)) is E
+    assert table.at((0, 2)) is E
     # antipodal row: N and S both descend, N comes first
-    assert next_hop(topo, phi, (2, 0)) is N
+    assert table.at((2, 0)) is N
     # doubly antipodal corner: all four descend
-    assert next_hop(topo, phi, (2, 2)) is N
+    assert table.at((2, 2)) is N
     # interior quadrant node with a unique best row move
-    assert next_hop(topo, phi, (1, 3)) is N
-    assert next_hop(topo, phi, (0, 3)) is E
-
-
-def test_next_hop_always_descends_and_rejects_dest():
-    topo = build_torus(5, 5)
-    dest = (2, 2)
-    phi = compute_potential(topo, dest)
-    for v in all_nodes(topo):
-        if v == dest:
-            with pytest.raises(ValueError):
-                next_hop(topo, phi, v)
-            continue
-        d = next_hop(topo, phi, v)
-        assert phi.at(neighbor(topo, v, d)) == phi.at(v) - 1
-
-
-def test_routing_table_matches_next_hop():
-    topo = build_torus(4, 5)
-    dest = (3, 1)
-    phi = compute_potential(topo, dest)
-    table = routing_table(topo, dest)
-    assert table.at(dest) is None
-    for v in all_nodes(topo):
-        if v != dest:
-            assert table.at(v) is next_hop(topo, phi, v)
+    assert table.at((1, 3)) is N
+    assert table.at((0, 3)) is E
 
 
 def test_is_forward_edge():
