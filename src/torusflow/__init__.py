@@ -8,7 +8,6 @@ from .analysis import (
     CriticalPointEstimate,
     aggregate,
     aggregate_sweep,
-    estimate_peak,
 )
 from .forwarding import (
     EngineConfig,
@@ -24,7 +23,6 @@ from .montecarlo import (
     ExperimentConfig,
     MethodTally,
     ReplicateResult,
-    replicate_inputs,
     run_replicate,
     run_sweep,
     seed_for,
@@ -33,11 +31,6 @@ from .potential import (
     FlowFieldClass,
     PotentialField,
     RoutingTable,
-    classify_flow_field,
-    compute_potential,
-    forward_reachable_set,
-    is_forward_edge,
-    routing_table,
     signed_offsets,
 )
 from .topology import (
@@ -45,24 +38,16 @@ from .topology import (
     FailureMode,
     FailureScenario,
     TorusTopology,
-    alive_degree,
-    all_links,
     apply_bond_failures,
     apply_site_failures,
     build_torus,
     canonical_link,
     clockwise,
-    counterclockwise,
     diameter,
-    from_failed_links,
     from_failed_nodes,
-    is_connected_pair,
-    is_link_alive,
     is_node_alive,
     largest_component_fraction,
-    link_endpoints,
     neighbor,
     neighbors,
     opposite,
-    torus_distance,
 )

@@ -113,21 +113,16 @@ def _sample_pair_indices(scenario: FailureScenario, traffic_seed: int, packets: 
     """Uniform (src, dst) node indices over alive nodes, src != dst. Both
     endpoint batches are drawn first, then repeated collisions are redrawn
     in packet order; the generator sequence fixes the result."""
-    bits = scenario._node_bits
-    alive = [i for i in range(len(bits)) if bits[i]]
-    if len(alive) < 2:
+    alive = np.flatnonzero(np.frombuffer(scenario._node_bits, dtype=np.uint8))
+    if alive.size < 2:
         return []
     rng = np.random.default_rng(traffic_seed)
-    srcs = rng.integers(0, len(alive), size=packets)
-    dsts = rng.integers(0, len(alive), size=packets)
-    pairs = []
-    for k in range(packets):
-        s = alive[srcs[k]]
-        t = alive[dsts[k]]
-        while t == s:
-            t = alive[rng.integers(0, len(alive))]
-        pairs.append((s, t))
-    return pairs
+    srcs = alive[rng.integers(0, alive.size, size=packets)]
+    dsts = alive[rng.integers(0, alive.size, size=packets)]
+    for k in np.flatnonzero(srcs == dsts).tolist():
+        while dsts[k] == srcs[k]:
+            dsts[k] = alive[rng.integers(0, alive.size)]
+    return list(zip(srcs.tolist(), dsts.tolist()))
 
 
 def _replicate_setup(
@@ -180,7 +175,7 @@ def run_replicate(
             structurally_unreachable_pairs=packets,
         )
 
-    labels = scenario._component_labels
+    labels = scenario._component_labels.tolist()
     unreachable = sum(1 for s, t in pairs if labels[s] != labels[t])
     engine = config.resolved_engine()
     sst, ttl = engine.sst, engine.ttl

@@ -95,19 +95,21 @@ def diameter(topo: TorusTopology) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _neighbor_indices(rows: int, cols: int) -> np.ndarray:
+    """Read-only (rows * cols, 4) array: row v holds v's neighbor indices in
+    N, E, S, W order."""
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    shifts = ((1, 0), (-1, 1), (-1, 0), (1, 1))  # (roll, axis) per direction
+    nbr = np.stack([np.roll(idx, k, a) for k, a in shifts], axis=-1).reshape(-1, 4)
+    nbr.flags.writeable = False
+    return nbr
+
+
+@functools.lru_cache(maxsize=None)
 def _neighbor_table(rows: int, cols: int):
     """Flat neighbor indices: entry 4*v + d is the index of v's neighbor in
     direction d. Shared by every hot loop; never mutated."""
-    n = rows * cols
-    nbr = [0] * (4 * n)
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            nbr[4 * v + Direction.N] = ((r - 1) % rows) * cols + c
-            nbr[4 * v + Direction.E] = r * cols + (c + 1) % cols
-            nbr[4 * v + Direction.S] = ((r + 1) % rows) * cols + c
-            nbr[4 * v + Direction.W] = r * cols + (c - 1) % cols
-    return nbr
+    return _neighbor_indices(rows, cols).ravel().tolist()
 
 
 def neighbor(topo: TorusTopology, node: NodeId, d: Direction) -> NodeId:
@@ -143,29 +145,24 @@ def link_endpoints(topo: TorusTopology, link: LinkId) -> tuple[NodeId, NodeId]:
     return node, neighbor(topo, node, d)
 
 
-@functools.lru_cache(maxsize=None)
-def _all_links(rows: int, cols: int) -> tuple[LinkId, ...]:
-    topo = TorusTopology(rows, cols)
-    out = []
-    for r in range(rows):
-        for c in range(cols):
-            for d in (Direction.E, Direction.S):
-                out.append(canonical_link(topo, (r, c), d))
-    return tuple(out)
+_EAST_SOUTH = (Direction.E, Direction.S)
 
 
 def all_links(topo: TorusTopology) -> list[LinkId]:
     """Canonical ids of all links, in the fixed draw order: the E link of
     node 0, its S link, then the same pair for node 1 and so on. This order
     defines which uniform draw decides which link in bond scenarios."""
-    return list(_all_links(topo.rows, topo.cols))
+    nodes = map(topo.node_at, range(topo.num_nodes))
+    return [canonical_link(topo, v, d) for v in nodes for d in _EAST_SOUTH]
 
 
 class FailureScenario:
     """Frozen outcome of a failure draw on one topology.
 
-    failed_links always includes the links induced by failed nodes, so the
-    alive network is fully described by (failed_links, failed_nodes).
+    The alive network is stored only as bytes, built by `_scenario_bytes`:
+    entry 4*v + d of port_bits says whether the link at node v's port d is up
+    (symmetric across its two endpoints), entry v of node_bits whether node v
+    is up.
     """
 
     def __init__(
@@ -174,70 +171,51 @@ class FailureScenario:
         mode: FailureMode,
         p: float,
         seed: int,
-        failed_links: frozenset[LinkId] = frozenset(),
-        failed_nodes: frozenset[NodeId] = frozenset(),
+        port_bits: bytes,
+        node_bits: bytes,
     ):
         self.topology = topology
         self.mode = mode
         self.p = p
         self.seed = seed
-        self.failed_links = frozenset(failed_links)
-        self.failed_nodes = frozenset(failed_nodes)
+        self._port_bits = port_bits
+        self._node_bits = node_bits
 
     @cached_property
-    def _node_bits(self) -> bytes:
-        alive = bytearray(b"\x01") * self.topology.num_nodes
-        for v in self.failed_nodes:
-            alive[self.topology.node_index(v)] = 0
-        return bytes(alive)
-
-    @cached_property
-    def _port_bits(self) -> bytes:
-        """Per-port aliveness: entry 4*v + d says whether the link at node
-        v's port d is up. Symmetric across the two endpoints."""
+    def failed_links(self) -> frozenset[LinkId]:
+        """Canonical ids of every dead link, including those of dead nodes."""
         topo = self.topology
-        nbr = _neighbor_table(topo.rows, topo.cols)
-        alive = bytearray(b"\x01") * (4 * topo.num_nodes)
-        for node, d in self.failed_links:
-            a = topo.node_index(node)
-            alive[4 * a + d] = 0
-            alive[4 * nbr[4 * a + d] + _OPPOSITE[d]] = 0
-        if self.failed_nodes:
-            # defensive for hand-built scenarios; factory constructors
-            # already fold induced links into failed_links
-            for v in self.failed_nodes:
-                a = topo.node_index(v)
-                for d in range(4):
-                    alive[4 * a + d] = 0
-                    alive[4 * nbr[4 * a + d] + _OPPOSITE[d]] = 0
-        return bytes(alive)
+        ports = np.frombuffer(self._port_bits, dtype=np.uint8).reshape(-1, 4)
+        nodes, cols = np.nonzero(ports[:, Direction.E : Direction.S + 1] == 0)
+        return frozenset(
+            canonical_link(topo, topo.node_at(v), _EAST_SOUTH[d])
+            for v, d in zip(nodes.tolist(), cols.tolist())
+        )
 
     @cached_property
-    def _component_labels(self) -> list[int]:
-        """Connected-component label per node index over the alive network;
-        dead nodes get -1."""
+    def failed_nodes(self) -> frozenset[NodeId]:
+        dead = np.flatnonzero(np.frombuffer(self._node_bits, dtype=np.uint8) == 0)
+        return frozenset(map(self.topology.node_at, dead.tolist()))
+
+    @cached_property
+    def _component_labels(self) -> np.ndarray:
+        """Connected-component label per node index over the alive network:
+        the smallest node index of the component; dead nodes get -1."""
         topo = self.topology
         n = topo.num_nodes
-        nbr = _neighbor_table(topo.rows, topo.cols)
-        ports = self._port_bits
-        node_bits = self._node_bits
-        labels = [-1] * n
-        label = 0
-        for start in range(n):
-            if labels[start] != -1 or not node_bits[start]:
-                continue
-            labels[start] = label
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                base = 4 * v
-                for d in range(4):
-                    if ports[base + d]:
-                        u = nbr[base + d]
-                        if labels[u] == -1:
-                            labels[u] = label
-                            stack.append(u)
-            label += 1
+        up = np.frombuffer(self._port_bits, dtype=np.uint8).reshape(n, 4) != 0
+        own = np.arange(n)
+        # a dead port points back at its own node
+        hop = np.where(up, _neighbor_indices(topo.rows, topo.cols), own[:, None])
+        labels = own
+        while True:
+            # the node's own label must take part, or labels can oscillate
+            low = np.minimum(labels, labels[hop].min(axis=1))
+            low = low[low]
+            if np.array_equal(low, labels):
+                break
+            labels = low
+        labels[np.frombuffer(self._node_bits, dtype=np.uint8) == 0] = -1
         return labels
 
     def __repr__(self):
@@ -248,14 +226,28 @@ class FailureScenario:
         )
 
 
+def _scenario_bytes(topo: TorusTopology, dead_e, dead_s, dead_nodes):
+    """Port and node bytes from boolean arrays over node indices that mark
+    dead E ports, dead S ports and dead nodes. A dead node takes down its own
+    four ports and the facing port of each neighbor."""
+    nbr = _neighbor_indices(topo.rows, topo.cols)
+    dead = np.empty((topo.num_nodes, 4), dtype=bool)
+    dead[:, Direction.E] = dead_e | dead_nodes | dead_nodes[nbr[:, Direction.E]]
+    dead[:, Direction.S] = dead_s | dead_nodes | dead_nodes[nbr[:, Direction.S]]
+    # a W port is its west neighbor's E port, an N port its north neighbor's S
+    dead[:, Direction.W] = dead[nbr[:, Direction.W], Direction.E]
+    dead[:, Direction.N] = dead[nbr[:, Direction.N], Direction.S]
+    return (~dead).tobytes(), (~dead_nodes).tobytes()
+
+
 def apply_bond_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
     """Fail each link independently with probability p."""
     _check_p(p)
     rng = np.random.default_rng(seed)
-    mask = rng.random(topo.num_links) < p
-    links = _all_links(topo.rows, topo.cols)
-    failed = frozenset(links[k] for k in np.nonzero(mask)[0])
-    return FailureScenario(topo, FailureMode.BOND, p, seed, failed_links=failed)
+    dead = (rng.random(topo.num_links) < p).reshape(topo.num_nodes, 2)
+    no_nodes = np.zeros(topo.num_nodes, dtype=bool)
+    bits = _scenario_bytes(topo, dead[:, 0], dead[:, 1], no_nodes)
+    return FailureScenario(topo, FailureMode.BOND, p, seed, *bits)
 
 
 def apply_site_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
@@ -263,37 +255,47 @@ def apply_site_failures(topo: TorusTopology, p: float, seed: int) -> FailureScen
     all four incident links with it."""
     _check_p(p)
     rng = np.random.default_rng(seed)
-    mask = rng.random(topo.num_nodes) < p
-    nodes = frozenset(topo.node_at(int(k)) for k in np.nonzero(mask)[0])
-    return from_failed_nodes(topo, nodes, p=p, seed=seed)
+    dead = rng.random(topo.num_nodes) < p
+    no_links = np.zeros_like(dead)
+    bits = _scenario_bytes(topo, no_links, no_links, dead)
+    return FailureScenario(topo, FailureMode.SITE, p, seed, *bits)
+
+
+def from_failures(
+    topo: TorusTopology,
+    links=(),
+    nodes=(),
+    mode: FailureMode = FailureMode.BOND,
+    p: float = 0.0,
+    seed: int = 0,
+) -> FailureScenario:
+    """Explicit scenario from iterables of dead (node, direction) links,
+    named from either endpoint, and dead nodes. Raises ValueError for a node
+    off the grid."""
+    dead = np.zeros((3, topo.num_nodes), dtype=bool)  # E ports, S ports, nodes
+    for node, d in links:
+        d = Direction(d)
+        if d == Direction.N or d == Direction.W:
+            node, d = neighbor(topo, node, d), opposite(d)
+        dead[0 if d == Direction.E else 1, topo.node_index(node)] = True
+    for node in nodes:
+        dead[2, topo.node_index(node)] = True
+    bits = _scenario_bytes(topo, *dead)
+    return FailureScenario(topo, mode, p, seed, *bits)
 
 
 def from_failed_links(
     topo: TorusTopology, links, p: float = 0.0, seed: int = 0
 ) -> FailureScenario:
-    """Explicit bond scenario from an iterable of (node, direction) links;
-    non-canonical forms are normalized."""
-    failed = frozenset(canonical_link(topo, node, d) for node, d in links)
-    return FailureScenario(topo, FailureMode.BOND, p, seed, failed_links=failed)
+    """Explicit bond scenario from an iterable of (node, direction) links."""
+    return from_failures(topo, links=links, p=p, seed=seed)
 
 
 def from_failed_nodes(
     topo: TorusTopology, nodes, p: float = 0.0, seed: int = 0
 ) -> FailureScenario:
     """Explicit site scenario; induces failure of every incident link."""
-    failed_nodes = frozenset(tuple(v) for v in nodes)
-    failed_links = set()
-    for v in failed_nodes:
-        for d in DIRECTIONS:
-            failed_links.add(canonical_link(topo, v, d))
-    return FailureScenario(
-        topo,
-        FailureMode.SITE,
-        p,
-        seed,
-        failed_links=frozenset(failed_links),
-        failed_nodes=failed_nodes,
-    )
+    return from_failures(topo, nodes=nodes, mode=FailureMode.SITE, p=p, seed=seed)
 
 
 def _check_p(p: float):
@@ -319,17 +321,14 @@ def largest_component_fraction(scenario: FailureScenario) -> float:
     """Size of the largest alive connected component over the total node
     count. 0.0 if nothing is alive."""
     labels = scenario._component_labels
-    counts = {}
-    for lab in labels:
-        if lab >= 0:
-            counts[lab] = counts.get(lab, 0) + 1
-    if not counts:
+    alive = labels[labels >= 0]
+    if not alive.size:
         return 0.0
-    return max(counts.values()) / scenario.topology.num_nodes
+    return int(np.bincount(alive).max()) / scenario.topology.num_nodes
 
 
 def is_connected_pair(scenario: FailureScenario, a: NodeId, b: NodeId) -> bool:
     labels = scenario._component_labels
     la = labels[scenario.topology.node_index(a)]
     lb = labels[scenario.topology.node_index(b)]
-    return la >= 0 and la == lb
+    return bool(la >= 0 and la == lb)

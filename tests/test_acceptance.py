@@ -65,13 +65,13 @@ from torusflow.topology import (
     DIRECTIONS,
     Direction,
     FailureMode,
-    FailureScenario,
     all_links,
     build_torus,
     canonical_link,
     diameter,
     from_failed_links,
     from_failed_nodes,
+    from_failures,
     is_link_alive,
     is_node_alive,
     link_endpoints,
@@ -583,10 +583,7 @@ def test_criterion_10_oracle_equivalence():
         for v in dead_nodes:
             for d in DIRECTIONS:
                 failed.add(canonical_link(topo, v, d))
-        scenario = FailureScenario(
-            topo, FailureMode.BOND, 0.0, 0,
-            failed_links=frozenset(failed), failed_nodes=dead_nodes,
-        )
+        scenario = from_failures(topo, links=failed, nodes=dead_nodes)
         net = ref.Net(
             4, 4, [link_endpoints(topo, link) for link in failed], dead_nodes
         )

@@ -1,14 +1,15 @@
 """Torus geometry, link identity and failure-scenario semantics."""
 
 import random
+from collections import deque
 
+import numpy as np
 import pytest
 
 from torusflow.topology import (
     DIRECTIONS,
     Direction,
     FailureMode,
-    FailureScenario,
     TorusTopology,
     all_links,
     alive_degree,
@@ -21,6 +22,7 @@ from torusflow.topology import (
     diameter,
     from_failed_links,
     from_failed_nodes,
+    from_failures,
     is_connected_pair,
     is_link_alive,
     is_node_alive,
@@ -261,15 +263,134 @@ def test_scenario_constructor_accepts_mixed_failures():
     node = (1, 2)
     induced = {canonical_link(topo, node, d) for d in DIRECTIONS}
     extra = canonical_link(topo, (3, 3), E)
-    scen = FailureScenario(
-        topo,
-        FailureMode.BOND,
-        0.0,
-        0,
-        failed_links=frozenset(induced | {extra}),
-        failed_nodes=frozenset({node}),
-    )
+    scen = from_failures(topo, links=induced | {extra}, nodes={node})
     assert not is_node_alive(scen, node)
     assert not is_link_alive(scen, (3, 3), E)
     assert is_node_alive(scen, (3, 3))
     assert alive_degree(scen, (3, 3)) == 3
+
+
+def drawn_failures(topo, mode, p, seed):
+    """Dead links and dead nodes of a scenario, read straight off the uniform
+    draw: the k-th draw decides all_links(topo)[k] in bond mode and node k in
+    site mode, and a dead node takes its four links with it."""
+    if mode is FailureMode.BOND:
+        dead = np.flatnonzero(np.random.default_rng(seed).random(topo.num_links) < p)
+        links = all_links(topo)
+        return {links[k] for k in dead}, set()
+    dead = np.flatnonzero(np.random.default_rng(seed).random(topo.num_nodes) < p)
+    nodes = {topo.node_at(int(k)) for k in dead}
+    return {canonical_link(topo, v, d) for v in nodes for d in DIRECTIONS}, nodes
+
+
+def search_partition(topo, dead_links, dead_nodes):
+    """Alive components as sets of nodes, by breadth-first search over the
+    given link and node sets only."""
+    seen, parts = set(), set()
+    for start in map(topo.node_at, range(topo.num_nodes)):
+        if start in seen or start in dead_nodes:
+            continue
+        seen.add(start)
+        part, queue = {start}, deque([start])
+        while queue:
+            v = queue.popleft()
+            for d in DIRECTIONS:
+                u = neighbor(topo, v, d)
+                if canonical_link(topo, v, d) in dead_links or u in seen:
+                    continue
+                seen.add(u)
+                part.add(u)
+                queue.append(u)
+        parts.add(frozenset(part))
+    return parts
+
+
+def assert_labels_match(scen, dead_links, dead_nodes):
+    topo = scen.topology
+    labels = scen._component_labels
+    parts = {}
+    for idx, lab in enumerate(labels.tolist()):
+        v = topo.node_at(idx)
+        assert (lab == -1) == (v in dead_nodes)
+        if lab >= 0:
+            parts.setdefault(lab, set()).add(v)
+    assert set(map(frozenset, parts.values())) == search_partition(
+        topo, dead_links, dead_nodes
+    )
+    # each label is the smallest node index of its component
+    for lab, part in parts.items():
+        assert lab == min(map(topo.node_index, part))
+
+
+DRAWS = {
+    FailureMode.BOND: apply_bond_failures,
+    FailureMode.SITE: apply_site_failures,
+}
+
+
+# bond percolation on the square lattice sets in at p = 1/2, site at about 0.407
+@pytest.mark.parametrize(
+    "mode, p_values",
+    [
+        (FailureMode.BOND, (0.45, 0.5, 0.55, 1.0)),
+        (FailureMode.SITE, (0.35, 0.41, 0.45, 1.0)),
+    ],
+    ids=["bond", "site"],
+)
+def test_component_labels_match_search_on_draws(mode, p_values):
+    for shape in ((3, 8), (5, 7), (7, 4), (16, 16)):
+        topo = build_torus(*shape)
+        for p in p_values:
+            for seed in range(6):
+                dead_links, dead_nodes = drawn_failures(topo, mode, p, seed)
+                scen = DRAWS[mode](topo, p, seed)
+                assert_labels_match(scen, dead_links, dead_nodes)
+
+
+def test_component_labels_follow_a_serpentine():
+    # dead walls leave one path: rows 0, 2, 4, 6 over columns 0-7, joined at
+    # column 7 through rows 1 and 5 and at column 0 through row 3, plus a
+    # dead-end stub at (7, 0); a single dead link splits the path in two
+    topo = build_torus(9, 9)
+    gaps = {(1, 7), (3, 0), (5, 7), (7, 0)}
+    walls = {(r, c) for r in (1, 3, 5, 7, 8) for c in range(9)} - gaps
+    walls |= {(r, 8) for r in range(9)}
+    whole = from_failed_nodes(topo, walls)
+    dead_links = {canonical_link(topo, v, d) for v in walls for d in DIRECTIONS}
+    assert_labels_match(whole, dead_links, walls)
+    assert largest_component_fraction(whole) == 36 / 81
+
+    cut = canonical_link(topo, (4, 3), E)
+    split = from_failures(topo, links=[cut], nodes=walls)
+    assert_labels_match(split, dead_links | {cut}, walls)
+    assert not is_connected_pair(split, (0, 0), (6, 0))
+    assert is_connected_pair(split, (4, 4), (6, 0))
+
+
+def test_draw_order_and_hand_built_scenarios_agree():
+    for shape in ((3, 8), (5, 7), (16, 16)):
+        topo = build_torus(*shape)
+        for mode, draw in DRAWS.items():
+            for p in (0.05, 0.3, 0.7):
+                for seed in range(5):
+                    scen = draw(topo, p, seed)
+                    dead_links, dead_nodes = drawn_failures(topo, mode, p, seed)
+                    assert scen.failed_links == dead_links
+                    assert scen.failed_nodes == dead_nodes
+                    rebuilt = from_failures(
+                        topo, links=scen.failed_links, nodes=scen.failed_nodes
+                    )
+                    assert rebuilt._port_bits == scen._port_bits
+                    assert rebuilt._node_bits == scen._node_bits
+
+
+def test_hand_built_scenarios_reject_off_grid_nodes():
+    topo = build_torus(4, 5)
+    for off in ((-1, 0), (topo.rows, 0)):
+        for d in DIRECTIONS:
+            with pytest.raises(ValueError):
+                from_failed_links(topo, [(off, d)])
+        with pytest.raises(ValueError):
+            from_failed_nodes(topo, [off])
+        with pytest.raises(ValueError):
+            from_failures(topo, links=[((0, 0), E)], nodes=[off])
