@@ -135,67 +135,68 @@ def _relay_egress(ports, base: int, ingress: int, policy: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-strategy routing loops; verdict codes 0=delivered 1=no_egress 2=ttl
+# per-strategy routing loops; verdict codes 0=delivered 1=no_egress 2=ttl;
+# `trace` is the hop list to append to, or None
 
-def _route_nf(ports, nbr, nxt, src: int, dst: int, ttl: int, record: bool):
-    at = src
+def _route_nf(ports, nbr, nxt, at: int, dst: int, ttl: int, trace):
+    """Follow the table from `at`; returns (code, node, hops) at the
+    destination, the ttl or the first dead table port. Every strategy takes
+    these hops, so the others continue from a dead-port stop (code 1)."""
     hops = 0
-    trace = [] if record else None
     while True:
         if at == dst:
-            return 0, hops, 0, trace, None
+            return 0, at, hops
         if hops >= ttl:
-            return 2, hops, 0, trace, None
+            return 2, at, hops
         base = 4 * at
         d = nxt[at]
         if not ports[base + d]:
+            return 1, at, hops
+        b = nbr[base + d]
+        if trace is not None:
+            trace.append((at, b, d, 0))
+        at = b
+        hops += 1
+
+
+def _route_lfa(ports, nbr, phi, nxt, at: int, dst: int, hops: int, ttl: int, trace):
+    """At each dead table port take the first alive strictly descending
+    port, then follow the table again."""
+    while True:
+        base = 4 * at
+        here = phi[at]
+        for d in range(4):
+            if ports[base + d] and phi[nbr[base + d]] < here:
+                break
+        else:
             return 1, hops, 0, trace, None
         b = nbr[base + d]
-        if record:
+        if trace is not None:
             trace.append((at, b, d, 0))
-        at = b
-        hops += 1
-
-
-def _route_lfa(ports, nbr, phi, nxt, src: int, dst: int, ttl: int, record: bool):
-    at = src
-    hops = 0
-    trace = [] if record else None
-    while True:
-        if at == dst:
-            return 0, hops, 0, trace, None
-        if hops >= ttl:
-            return 2, hops, 0, trace, None
-        base = 4 * at
-        d = nxt[at]
-        if not ports[base + d]:
-            d = -1
-            here = phi[at]
-            for c in range(4):
-                if ports[base + c] and phi[nbr[base + c]] < here:
-                    d = c
-                    break
-            if d < 0:
-                return 1, hops, 0, trace, None
-        b = nbr[base + d]
-        if record:
-            trace.append((at, b, d, 0))
-        at = b
-        hops += 1
+        code, at, nf_hops = _route_nf(ports, nbr, nxt, b, dst, ttl - hops - 1, trace)
+        hops += 1 + nf_hops
+        if code != 1:
+            return code, hops, 0, trace, None
 
 
 def _route_rf(
     ports, nbr, phi, nxt,
-    src: int, dst: int, policy: int, sst: int, ttl: int, record: bool,
+    at: int, dst: int, hops: int, policy: int, sst: int, ttl: int, trace,
 ):
-    at = src
+    """Reverse flow from a normal-mode state. Without a trace, Brent's cycle
+    detection runs over generations and policy switches, keyed by (node,
+    policy): a generation needs the table port dead and a switch needs it
+    alive as the ingress, so the node fixes which event it is and the key
+    fixes the rest of the route. Every cycle holds an event, since normal
+    mode strictly descends and an endless reverse run must switch. A
+    repeat skips whole periods."""
+    record = trace is not None
     ingress = -1
     reverse_mode = False
     h_event = 0  # hops since the reverse flow began or last reset
-    hops = 0
     rev_hops = 0
-    trace = [] if record else None
     annih = [] if record else None
+    saved, saved_hops, saved_rev, power, lam = -1, 0, 0, 1, 1  # Brent state
     while True:
         if at == dst:
             return 0, hops, rev_hops, trace, annih
@@ -218,13 +219,25 @@ def _route_rf(
                     annih.append(at)
                 reverse_mode = False
                 h_event = 0
-        if normal:
-            if not ports[base + d]:
-                d = _gen_egress(ports, base, d, policy)
-                if d < 0:
-                    return 1, hops, rev_hops, trace, annih
-                reverse_mode = True
-                h_event = 1
+        if normal and not ports[base + d]:
+            d = _gen_egress(ports, base, d, policy)
+            if d < 0:
+                return 1, hops, rev_hops, trace, annih
+            reverse_mode = True
+            h_event = 1
+        # h_event is 1 right after a generation or a switch, and only then
+        if h_event == 1 and not record:
+            key = 2 * at + policy
+            if key == saved:
+                # the current hop is still taken, hence ttl - 1
+                period = hops - saved_hops
+                q = (ttl - 1 - hops) // period
+                rev_hops += q * (rev_hops - saved_rev)
+                hops += q * period
+            elif lam == power:
+                saved, saved_hops, saved_rev = key, hops, rev_hops
+                power, lam = 2 * power, 0
+            lam += 1
         b = nbr[base + d]
         if phi[b] < phi[at]:
             if record:
@@ -238,6 +251,14 @@ def _route_rf(
         hops += 1
 
 
+def _route_rest(ports, nbr, phi, nxt, method, at, dst, hops, sst, ttl, trace):
+    """Continue a non-NF method from the dead table port `_route_nf` hit."""
+    if method is Method.LFA:
+        return _route_lfa(ports, nbr, phi, nxt, at, dst, hops, ttl, trace)
+    policy = 0 if method is Method.RF_CF else 1
+    return _route_rf(ports, nbr, phi, nxt, at, dst, hops, policy, sst, ttl, trace)
+
+
 def _route_indexed(
     scenario: FailureScenario,
     method: Method,
@@ -247,17 +268,16 @@ def _route_indexed(
     ttl: int,
     record: bool,
 ):
-    """Shared entry for the public wrapper and the Monte Carlo harness."""
+    """Shared entry for the public wrapper and the trace writer."""
     topo = scenario.topology
     ports = scenario._port_bits
     nbr = _neighbor_table(topo.rows, topo.cols)
     phi, nxt = _dest_tables(topo.rows, topo.cols, dst)
-    if method is Method.NF:
-        return _route_nf(ports, nbr, nxt, src, dst, ttl, record)
-    if method is Method.LFA:
-        return _route_lfa(ports, nbr, phi, nxt, src, dst, ttl, record)
-    policy = 0 if method is Method.RF_CF else 1
-    return _route_rf(ports, nbr, phi, nxt, src, dst, policy, sst, ttl, record)
+    trace = [] if record else None
+    code, at, hops = _route_nf(ports, nbr, nxt, src, dst, ttl, trace)
+    if code != 1 or method is Method.NF:
+        return code, hops, 0, trace, None
+    return _route_rest(ports, nbr, phi, nxt, method, at, dst, hops, sst, ttl, trace)
 
 
 _VERDICTS = (Verdict.DELIVERED, Verdict.DROPPED_NO_EGRESS, Verdict.DROPPED_TTL)

@@ -2,6 +2,7 @@
 against the straight-line reference interpreter."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,8 +12,10 @@ from torusflow.forwarding import (
     HopKind,
     Method,
     Verdict,
+    _VERDICTS,
     _gen_egress,
     _relay_egress,
+    _route_indexed,
     default_engine_config,
     route_packet,
 )
@@ -20,6 +23,7 @@ from torusflow.potential import compute_potential, routing_table
 from torusflow.topology import (
     Direction,
     FailureMode,
+    all_links,
     apply_bond_failures,
     apply_site_failures,
     build_torus,
@@ -508,3 +512,100 @@ def test_matches_reference_on_odd_and_rectangular_tori():
                 for cfg in configs:
                     for src, dst in alive_pairs(scen, rng, 8):
                         assert_outcomes_match(scen, cfg, src, dst)
+
+
+def test_prefix_property_against_reference():
+    """Every method takes NF's hops until NF stops, the fact the sweep's
+    shared table-path walk rests on; the untraced routes, loop cut
+    included, equal the reference."""
+    rng = random.Random(517)
+    for rows, count in ((6, 30), (16, 10)):
+        topo = build_torus(rows, rows)
+        for seed in range(count):
+            scen = apply_bond_failures(topo, 0.25, seed=9500 + seed)
+            net = to_ref_net(scen)
+            for sst in (1, default_engine_config(topo).sst):
+                cfg = EngineConfig(sst=sst, ttl=default_engine_config(topo).ttl)
+                for src, dst in alive_pairs(scen, rng, 4):
+                    nf = ref.run(net, "NF", src, dst, cfg.sst, cfg.ttl)["trace"]
+                    for method in ALL_METHODS:
+                        want = ref.run(net, method.value, src, dst, cfg.sst, cfg.ttl)
+                        assert want["trace"][:len(nf)] == nf, (method, src, dst)
+                        bare = route_packet(scen, method, src, dst, cfg, False)
+                        got = (bare.verdict.value, bare.total_hops, bare.reverse_hops)
+                        assert got == (
+                            want["verdict"], want["hops"], want["reverse_hops"]
+                        ), (method, src, dst, sst)
+
+
+# ---------------------------------------------------------------------------
+# forwarding loops and single failures
+
+def test_rf_cf_single_dead_node_loop_cut_is_exact():
+    """8x8, destination (0,0), dead node (0,1), source (1,1): RF_CF cycles
+    with period 12 once sst >= 3, two generations per cycle restarting the
+    switch counter; sst 1 and 2 switch and deliver. Every ttl residue
+    modulo the period must give the untraced route the traced counters."""
+    topo = build_torus(8, 8)
+    scen = from_failed_nodes(topo, [(0, 1)])
+    src, dst = (1, 1), (0, 0)
+    for sst in (1, 2, 3):
+        for ttl in range(256, 268):
+            cfg = EngineConfig(sst=sst, ttl=ttl)
+            full = route_packet(scen, Method.RF_CF, src, dst, cfg)
+            bare = route_packet(scen, Method.RF_CF, src, dst, cfg, record_trace=False)
+            assert (bare.verdict, bare.total_hops, bare.reverse_hops) == (
+                full.verdict, full.total_hops, full.reverse_hops
+            ), (sst, ttl)
+            if sst < 3:
+                assert full.verdict is Verdict.DELIVERED
+                continue
+            assert full.verdict is Verdict.DROPPED_TTL
+            assert full.total_hops == ttl
+            hops = hop_tuples(full)
+            assert all(hops[i] == hops[i + 12] for i in range(ttl - 12))
+            assert all(hops[:k] != hops[k:2 * k] for k in range(1, 12))
+    # one recorded period gives the counters in closed form for any ttl;
+    # stepping a million hops instead would take seconds
+    period = hop_tuples(route_packet(scen, Method.RF_CF, src, dst, EngineConfig(3, 12)))
+    rev_per_period = sum(kind is HopKind.REVERSE for _, _, _, kind in period)
+    ttl = 10**6
+    q, rest = divmod(ttl, 12)
+    bare = route_packet(scen, Method.RF_CF, src, dst, EngineConfig(3, ttl), False)
+    assert bare.verdict is Verdict.DROPPED_TTL
+    assert bare.total_hops == ttl
+    assert bare.reverse_hops == q * rev_per_period + sum(
+        kind is HopKind.REVERSE for _, _, _, kind in period[:rest]
+    )
+
+
+def test_single_failure_reachability():
+    """Destination index 0 (translation symmetry covers the rest), every
+    other source: no single dead link costs RF a connected pair, no single
+    dead node costs RF_LF one, and RF_CF loses exactly the pinned pairs
+    under one dead node, every one a ttl loop."""
+    rf_cf_node_losses = {
+        (5, 5): 8, (6, 6): 10, (7, 9): 24, (8, 8): 21, (16, 16): 105,
+    }
+    for (rows, cols), cf_lost in rf_cf_node_losses.items():
+        topo = build_torus(rows, cols)
+        cfg = default_engine_config(topo)
+        n = topo.num_nodes
+        scenarios = [(from_failed_links(topo, [lk]), None) for lk in all_links(topo)]
+        scenarios += [
+            (from_failed_nodes(topo, [topo.node_at(v)]), v) for v in range(1, n)
+        ]
+        lost = Counter()
+        for scen, dead in scenarios:
+            kind = "link" if dead is None else "node"
+            for src in range(1, n):
+                if src == dead:
+                    continue
+                for method in (Method.RF_CF, Method.RF_LF):
+                    code = _route_indexed(
+                        scen, method, src, 0, cfg.sst, cfg.ttl, False
+                    )[0]
+                    if code:
+                        lost[kind, method, _VERDICTS[code]] += 1
+        want = {("node", Method.RF_CF, Verdict.DROPPED_TTL): cf_lost}
+        assert lost == want, (rows, cols)

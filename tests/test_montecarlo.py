@@ -256,3 +256,51 @@ def test_run_replicate_matches_sweep_entries():
     results = run_sweep(cfg)
     for rep in range(3):
         assert results[rep] == run_replicate(cfg, 0.15, 0, rep)
+
+
+def test_replicate_tallies_match_reference_at_edge_engine_configs():
+    """The sweep routes every method from one shared table-path walk and
+    cuts loops early; its tallies must still equal the reference's when
+    the ttl is below the diameter, equals the switch threshold, or lets
+    loops switch policy, and for a method subset without NF."""
+    shapes = ((16, 16, FailureMode.BOND, 0.15), (7, 9, FailureMode.SITE, 0.2))
+    subsets = (ALL_METHODS, (Method.RF_LF, Method.LFA, Method.RF_CF))
+    for rows, cols, mode, p in shapes:
+        topo = build_torus(rows, cols)
+        for sst, ttl in ((1, 5), (3, 3), (1, 40)):
+            for methods in subsets:
+                cfg = small_config(
+                    rows=rows, cols=cols, mode=mode, methods=methods, p_values=(p,),
+                    replicates=2, packets_per_replicate=40,
+                    engine=EngineConfig(sst=sst, ttl=ttl),
+                )
+                for rep in range(cfg.replicates):
+                    scen, pairs = replicate_inputs(cfg, p, 0, rep)
+                    net = ref.Net(
+                        rows, cols,
+                        [link_endpoints(topo, link) for link in scen.failed_links],
+                        scen.failed_nodes,
+                    )
+                    res = run_replicate(cfg, p, 0, rep)
+                    for method in methods:
+                        outs = [
+                            ref.run(net, method.value, s, t, sst, ttl) for s, t in pairs
+                        ]
+                        delivered = [o for o in outs if o["verdict"] == "delivered"]
+                        verdicts = [o["verdict"] for o in outs]
+                        assert res.tallies[method] == MethodTally(
+                            delivered=len(delivered),
+                            dropped_no_egress=verdicts.count("dropped_no_egress"),
+                            dropped_ttl=verdicts.count("dropped_ttl"),
+                            dropped_unreachable_dest=0,
+                            delivered_with_reverse=sum(
+                                1 for o in delivered if o["reverse_hops"]
+                            ),
+                            total_hops_delivered=sum(o["hops"] for o in delivered),
+                            reverse_hops_delivered=sum(
+                                o["reverse_hops"] for o in delivered
+                            ),
+                            max_hops_delivered=max(
+                                (o["hops"] for o in delivered), default=None
+                            ),
+                        ), (rows, cols, sst, ttl, method, rep)
