@@ -28,7 +28,6 @@ from .montecarlo import (
     seed_for,
 )
 from .potential import (
-    FlowFieldClass,
     PotentialField,
     RoutingTable,
     signed_offsets,

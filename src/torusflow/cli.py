@@ -20,10 +20,10 @@ import time
 
 from . import __version__
 from .analysis import AggregateMetrics, aggregate_sweep
-from .forwarding import EngineConfig, HopKind, Method, _route_indexed
+from .forwarding import EngineConfig, HopKind, Method, _route_pairs
 from .montecarlo import ExperimentConfig, _replicate_setup, run_sweep
-from .potential import _dest_tables
-from .topology import Direction, FailureMode, build_torus
+from .potential import _base_tables, _relative_index
+from .topology import Direction, FailureMode, _neighbor_table, build_torus
 
 REGIMES = {
     "low": (0.0001, 0.01),
@@ -281,6 +281,8 @@ def emit_traces(config: ExperimentConfig, path: str):
     The file is written one replicate at a time."""
     engine = config.resolved_engine()
     rows, cols = config.rows, config.cols
+    phi = _base_tables(rows, cols)[0]
+    nbr = _neighbor_table(rows, cols)
     labels = [f"{r}:{c}" for r in range(rows) for c in range(cols)]
     directions = tuple(d.name for d in Direction)
     kinds = tuple(k.value for k in HopKind)
@@ -290,18 +292,21 @@ def emit_traces(config: ExperimentConfig, path: str):
             for rep in range(config.replicates):
                 scenario, pairs = _replicate_setup(config, p, p_index, rep)
                 lines = []
-                for k, (src, dst) in enumerate(pairs):
-                    phi, _ = _dest_tables(rows, cols, dst)
-                    for method in config.methods:
-                        trace = _route_indexed(
-                            scenario, method, src, dst, engine.sst, engine.ttl, True
-                        )[3]
+                routes_per_pair = _route_pairs(
+                    scenario, pairs, config.methods, engine.sst, engine.ttl, True
+                )
+                for k, ((src, dst), routes) in enumerate(zip(pairs, routes_per_pair)):
+                    rel_src = _relative_index(rows, cols, src, dst)
+                    for method, (_, _, _, trace, _) in zip(config.methods, routes):
                         head = f"p{p_index}.r{rep}.{k},{method.name}"
+                        ra = rel_src
                         for i, (a, b, d, kind) in enumerate(trace):
+                            rb = nbr[4 * ra + d]
                             lines.append(
                                 f"{head},{i},{labels[a]},{labels[b]},{directions[d]},"
-                                f"{kinds[kind]},{phi[a]},{phi[b]}\n"
+                                f"{kinds[kind]},{phi[ra]},{phi[rb]}\n"
                             )
+                            ra = rb
                 out.write("".join(lines))
 
 

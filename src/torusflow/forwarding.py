@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .potential import _dest_tables
+from .potential import _base_tables, _relative_index
 from .topology import (
     _CLOCKWISE as _CW,
     _COUNTERCW as _CCW,
@@ -135,45 +135,52 @@ def _relay_egress(ports, base: int, ingress: int, policy: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-strategy routing loops; verdict codes 0=delivered 1=no_egress 2=ttl;
-# `trace` is the hop list to append to, or None
+# per-strategy routing loops, in two frames at once: `at` is the node index,
+# which ports, neighbors, traces and loop keys use, and `rel` its index
+# relative to the destination, which the base tables use (see
+# potential._base_tables); a port leads to the same direction in both
+# frames. Verdict codes 0=delivered 1=no_egress 2=ttl; `trace` is the hop
+# list to append to, or None
 
-def _route_nf(ports, nbr, nxt, at: int, dst: int, ttl: int, trace):
-    """Follow the table from `at`; returns (code, node, hops) at the
+def _route_nf(ports, nbr, nxt, down, at: int, rel: int, ttl: int, trace):
+    """Follow the table from `at`; returns (code, node, rel, hops) at the
     destination, the ttl or the first dead table port. Every strategy takes
     these hops, so the others continue from a dead-port stop (code 1)."""
     hops = 0
-    while True:
-        if at == dst:
-            return 0, at, hops
+    while rel:  # relative index 0 is the destination
         if hops >= ttl:
-            return 2, at, hops
+            return 2, at, rel, hops
         base = 4 * at
-        d = nxt[at]
+        d = nxt[rel]
         if not ports[base + d]:
-            return 1, at, hops
+            return 1, at, rel, hops
         b = nbr[base + d]
         if trace is not None:
             trace.append((at, b, d, 0))
         at = b
+        rel = down[rel]
         hops += 1
+    return 0, at, rel, hops
 
 
-def _route_lfa(ports, nbr, phi, nxt, at: int, dst: int, hops: int, ttl: int, trace):
+def _route_lfa(ports, nbr, phi, nxt, down, at, rel, hops: int, ttl: int, trace):
     """At each dead table port take the first alive strictly descending
     port, then follow the table again."""
     while True:
         base = 4 * at
-        here = phi[at]
+        rbase = 4 * rel
+        here = phi[rel]
         for d in range(4):
-            if ports[base + d] and phi[nbr[base + d]] < here:
+            if ports[base + d] and phi[nbr[rbase + d]] < here:
                 break
         else:
             return 1, hops, 0, trace, None
         b = nbr[base + d]
         if trace is not None:
             trace.append((at, b, d, 0))
-        code, at, nf_hops = _route_nf(ports, nbr, nxt, b, dst, ttl - hops - 1, trace)
+        code, at, rel, nf_hops = _route_nf(
+            ports, nbr, nxt, down, b, nbr[rbase + d], ttl - hops - 1, trace
+        )
         hops += 1 + nf_hops
         if code != 1:
             return code, hops, 0, trace, None
@@ -181,7 +188,7 @@ def _route_lfa(ports, nbr, phi, nxt, at: int, dst: int, hops: int, ttl: int, tra
 
 def _route_rf(
     ports, nbr, phi, nxt,
-    at: int, dst: int, hops: int, policy: int, sst: int, ttl: int, trace,
+    at: int, rel: int, hops: int, policy: int, sst: int, ttl: int, trace,
 ):
     """Reverse flow from a normal-mode state. Without a trace, Brent's cycle
     detection runs over generations and policy switches, keyed by (node,
@@ -198,12 +205,12 @@ def _route_rf(
     annih = [] if record else None
     saved, saved_hops, saved_rev, power, lam = -1, 0, 0, 1, 1  # Brent state
     while True:
-        if at == dst:
+        if rel == 0:
             return 0, hops, rev_hops, trace, annih
         if hops >= ttl:
             return 2, hops, rev_hops, trace, annih
         base = 4 * at
-        d = nxt[at]
+        d = nxt[rel]
         normal = True
         if reverse_mode:
             if d == ingress:
@@ -239,7 +246,8 @@ def _route_rf(
                 power, lam = 2 * power, 0
             lam += 1
         b = nbr[base + d]
-        if phi[b] < phi[at]:
+        rb = nbr[4 * rel + d]
+        if phi[rb] < phi[rel]:
             if record:
                 trace.append((at, b, d, 0))
         else:
@@ -248,36 +256,45 @@ def _route_rf(
                 trace.append((at, b, d, 1))
         ingress = _OPP[d]
         at = b
+        rel = rb
         hops += 1
 
 
-def _route_rest(ports, nbr, phi, nxt, method, at, dst, hops, sst, ttl, trace):
-    """Continue a non-NF method from the dead table port `_route_nf` hit."""
-    if method is Method.LFA:
-        return _route_lfa(ports, nbr, phi, nxt, at, dst, hops, ttl, trace)
-    policy = 0 if method is Method.RF_CF else 1
-    return _route_rf(ports, nbr, phi, nxt, at, dst, hops, policy, sst, ttl, trace)
-
-
-def _route_indexed(
-    scenario: FailureScenario,
-    method: Method,
-    src: int,
-    dst: int,
-    sst: int,
-    ttl: int,
-    record: bool,
-):
-    """Shared entry for the public wrapper and the trace writer."""
-    topo = scenario.topology
+def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, record):
+    """Route one packet per (src, dst) node index pair with each of
+    `methods`, yielding per pair one (code, hops, reverse hops, trace,
+    annihilation points) per method. Until the first dead table port every
+    method takes NF's hops, so that prefix is walked once and each other
+    method continues from its stop; with `record` each continuation extends
+    its own copy of the prefix trace. Without it trace and annihilation
+    points are None."""
+    rows, cols = scenario.topology.rows, scenario.topology.cols
     ports = scenario._port_bits
-    nbr = _neighbor_table(topo.rows, topo.cols)
-    phi, nxt = _dest_tables(topo.rows, topo.cols, dst)
-    trace = [] if record else None
-    code, at, hops = _route_nf(ports, nbr, nxt, src, dst, ttl, trace)
-    if code != 1 or method is Method.NF:
-        return code, hops, 0, trace, None
-    return _route_rest(ports, nbr, phi, nxt, method, at, dst, hops, sst, ttl, trace)
+    nbr = _neighbor_table(rows, cols)
+    phi, nxt, down = _base_tables(rows, cols)
+    for src, dst in pairs:
+        trace = [] if record else None
+        rel = _relative_index(rows, cols, src, dst)
+        code, at, rel, hops = _route_nf(ports, nbr, nxt, down, src, rel, ttl, trace)
+        if code != 1:
+            yield [(code, hops, 0, trace, None)] * len(methods)
+            continue
+        results = []
+        for method in methods:
+            if method is Method.NF:
+                results.append((code, hops, 0, trace, None))
+                continue
+            rest = trace[:] if record else None
+            if method is Method.LFA:
+                results.append(
+                    _route_lfa(ports, nbr, phi, nxt, down, at, rel, hops, ttl, rest)
+                )
+            else:
+                policy = 0 if method is Method.RF_CF else 1
+                results.append(_route_rf(
+                    ports, nbr, phi, nxt, at, rel, hops, policy, sst, ttl, rest
+                ))
+        yield results
 
 
 _VERDICTS = (Verdict.DELIVERED, Verdict.DROPPED_NO_EGRESS, Verdict.DROPPED_TTL)
@@ -295,8 +312,7 @@ def route_packet(
 
     src and dst must be distinct alive nodes. With record_trace the outcome
     carries the full hop trace and annihilation points; without it those
-    fields are empty and only the counters are filled, which is what the
-    sweep harness uses.
+    fields are empty and only the counters are filled.
     """
     topo = scenario.topology
     src = tuple(src)
@@ -306,10 +322,10 @@ def route_packet(
     if not is_node_alive(scenario, src) or not is_node_alive(scenario, dst):
         raise ValueError("src and dst must both be alive")
     cfg = config if config is not None else default_engine_config(topo)
-    code, hops, rev_hops, trace, annih = _route_indexed(
-        scenario, method, topo.node_index(src), topo.node_index(dst),
-        cfg.sst, cfg.ttl, record_trace,
-    )
+    pair = (topo.node_index(src), topo.node_index(dst))
+    code, hops, rev_hops, trace, annih = next(
+        _route_pairs(scenario, [pair], (method,), cfg.sst, cfg.ttl, record_trace)
+    )[0]
     records = ()
     if trace:
         records = tuple(

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forwarding import EngineConfig, Method, default_engine_config
-from .forwarding import _route_nf, _route_rest
-from .potential import _dest_tables
+from .forwarding import EngineConfig, Method, _route_pairs, default_engine_config
 from .topology import (
     FailureMode,
     FailureScenario,
@@ -24,7 +22,6 @@ from .topology import (
     apply_site_failures,
     build_torus,
     largest_component_fraction,
-    _neighbor_table,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -193,18 +190,8 @@ def run_replicate(
     rev_sum = [0] * m_count
     hops_max = [-1] * m_count
 
-    ports = scenario._port_bits
-    nbr = _neighbor_table(config.rows, config.cols)
-    for s, t in pairs:
-        phi, nxt = _dest_tables(config.rows, config.cols, t)
-        # every method takes NF's hops up to the first dead table port
-        nf_code, at, nf_hops = _route_nf(ports, nbr, nxt, s, t, ttl, None)
-        for mi in range(m_count):
-            code, hops, rev_hops = nf_code, nf_hops, 0
-            if nf_code == 1 and methods[mi] is not Method.NF:
-                code, hops, rev_hops, _, _ = _route_rest(
-                    ports, nbr, phi, nxt, methods[mi], at, t, nf_hops, sst, ttl, None
-                )
+    for routes in _route_pairs(scenario, pairs, methods, sst, ttl, False):
+        for mi, (code, hops, rev_hops, _, _) in enumerate(routes):
             if code == 0:
                 delivered[mi] += 1
                 hops_sum[mi] += hops

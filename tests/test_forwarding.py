@@ -1,6 +1,7 @@
 """Per-packet forwarding: frozen traces, egress rules and random scans
 against the straight-line reference interpreter."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -15,7 +16,7 @@ from torusflow.forwarding import (
     _VERDICTS,
     _gen_egress,
     _relay_egress,
-    _route_indexed,
+    _route_pairs,
     default_engine_config,
     route_packet,
 )
@@ -602,10 +603,60 @@ def test_single_failure_reachability():
                 if src == dead:
                     continue
                 for method in (Method.RF_CF, Method.RF_LF):
-                    code = _route_indexed(
-                        scen, method, src, 0, cfg.sst, cfg.ttl, False
-                    )[0]
+                    code = next(_route_pairs(
+                        scen, [(src, 0)], (method,), cfg.sst, cfg.ttl, False
+                    ))[0][0]
                     if code:
                         lost[kind, method, _VERDICTS[code]] += 1
         want = {("node", Method.RF_CF, Verdict.DROPPED_TTL): cf_lost}
         assert lost == want, (rows, cols)
+
+
+def test_pair_failure_certificate():
+    """Destination index 0, every pair of dead links, every other source:
+    the guarantee of the single-failure test does not hold under two
+    failures, and the losses per shape, method and cause are pinned
+    exactly. Two dead links never disconnect these tori, so every loss is
+    a connected pair. Each lost route is re-run through the reference
+    interpreter and must match it in verdict, hops and reverse hops."""
+    want = {
+        (6, 6): {
+            (Method.RF_CF, Verdict.DROPPED_NO_EGRESS): 60,
+            (Method.RF_CF, Verdict.DROPPED_TTL): 204,
+            (Method.RF_LF, Verdict.DROPPED_NO_EGRESS): 82,
+            (Method.RF_LF, Verdict.DROPPED_TTL): 80,
+        },
+        (8, 8): {
+            (Method.RF_CF, Verdict.DROPPED_NO_EGRESS): 112,
+            (Method.RF_CF, Verdict.DROPPED_TTL): 710,
+            (Method.RF_LF, Verdict.DROPPED_NO_EGRESS): 181,
+            (Method.RF_LF, Verdict.DROPPED_TTL): 220,
+        },
+    }
+    methods = (Method.RF_CF, Method.RF_LF)
+    counters = ("verdict", "hops", "reverse_hops")
+    for (rows, cols), counts in want.items():
+        topo = build_torus(rows, cols)
+        cfg = default_engine_config(topo)
+        pairs = [(src, 0) for src in range(1, topo.num_nodes)]
+        lost = Counter()
+        mismatches = []
+        for dead in itertools.combinations(all_links(topo), 2):
+            scen = from_failed_links(topo, dead)
+            net = None
+            routes = _route_pairs(scen, pairs, methods, cfg.sst, cfg.ttl, False)
+            for (src, _), outs in zip(pairs, routes):
+                for method, (code, hops, rev_hops, _, _) in zip(methods, outs):
+                    if not code:
+                        continue
+                    verdict = _VERDICTS[code]
+                    lost[method, verdict] += 1
+                    net = net or to_ref_net(scen)
+                    want_route = ref.run(
+                        net, method.value, topo.node_at(src), (0, 0), cfg.sst, cfg.ttl
+                    )
+                    got = (verdict.value, hops, rev_hops)
+                    if got != tuple(want_route[k] for k in counters):
+                        mismatches.append((dead, method, src))
+        assert not mismatches, (rows, cols, mismatches[:5])
+        assert lost == counts, (rows, cols)

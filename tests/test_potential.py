@@ -1,14 +1,15 @@
-"""Potential field, frozen routing tables and flow-field geometry."""
+"""Potential field, frozen routing tables and forward reachability."""
 
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
 
+from torusflow.forwarding import Method, route_packet
 from torusflow.potential import (
-    FlowFieldClass,
-    _dest_tables,
-    classify_flow_field,
+    _base_tables,
+    _relative_index,
     compute_potential,
     forward_reachable_set,
     is_forward_edge,
@@ -75,19 +76,41 @@ def bfs_tables(nbrs, dest_index):
 
 
 def test_dest_tables_match_bfs_oracle_on_every_shape():
+    """The base lists, read through each node's relative index, give every
+    destination's BFS tables, and `down` is the table neighbor's relative
+    index."""
     for rows in range(3, 14):
         for cols in range(3, 14):
+            n = rows * cols
             nbrs = neighbor_indices(build_torus(rows, cols))
-            for dest_index in range(rows * cols):
-                phi, nxt = _dest_tables(rows, cols, dest_index)
-                assert (phi, nxt) == bfs_tables(nbrs, dest_index), (
-                    rows, cols, dest_index)
+            phi, nxt, down = _base_tables(rows, cols)
+            for dest_index in range(n):
+                rel = [_relative_index(rows, cols, v, dest_index) for v in range(n)]
+                got = ([phi[r] for r in rel], [nxt[r] for r in rel])
+                assert got == bfs_tables(nbrs, dest_index), (rows, cols, dest_index)
+            for v in range(1, n):
+                assert down[v] == nbrs[v][nxt[v]], (rows, cols, v)
 
 
-def test_dest_tables_cache_is_bounded():
-    for dest_index in range(64 * 64):
-        _dest_tables(64, 64, dest_index)
-    assert _dest_tables.cache_info().currsize <= 256
+def test_routing_to_every_64x64_destination_retains_little_memory():
+    """No table is kept per destination. After one warm-up packet has built
+    the shape's tables, routing one packet to each other destination of a
+    64x64 torus retains less than 256 KiB; a cache of 256 destinations'
+    flat potential and egress lists would hold 16 MiB."""
+    topo = build_torus(64, 64)
+    scen = apply_bond_failures(topo, 0.0, seed=0)
+    route_packet(scen, Method.NF, (0, 0), (0, 1), record_trace=False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for dest_index in range(2, topo.num_nodes):
+            dest = topo.node_at(dest_index)
+            out = route_packet(scen, Method.NF, (0, 0), dest, record_trace=False)
+            assert out.total_hops == torus_distance(topo, (0, 0), dest)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024, retained
 
 
 def test_potential_spot_check_large():
@@ -154,56 +177,6 @@ def test_signed_offsets_range_and_distance():
         assert -topo.rows / 2 < dr <= topo.rows / 2
         assert -topo.cols / 2 < dc <= topo.cols / 2
         assert abs(dr) + abs(dc) == torus_distance(topo, v, dest)
-
-
-def test_flow_field_partition_counts_16x16():
-    topo = build_torus(16, 16)
-    dest = (0, 0)
-    counts = {cls: 0 for cls in FlowFieldClass}
-    for v in all_nodes(topo):
-        counts[classify_flow_field(topo, dest, v)] += 1
-    assert counts[FlowFieldClass.DEST] == 1
-    assert counts[FlowFieldClass.BOUNDARY_ANTIPODAL] == 31
-    assert counts[FlowFieldClass.BOUNDARY_ROW] == 14
-    assert counts[FlowFieldClass.BOUNDARY_COL] == 14
-    for cls in (
-        FlowFieldClass.FIELD_A,
-        FlowFieldClass.FIELD_B,
-        FlowFieldClass.FIELD_C,
-        FlowFieldClass.FIELD_D,
-    ):
-        assert counts[cls] == 49
-
-
-def test_flow_field_partition_counts_4x4():
-    topo = build_torus(4, 4)
-    dest = (2, 1)  # the partition is translation invariant
-    counts = {cls: 0 for cls in FlowFieldClass}
-    for v in all_nodes(topo):
-        counts[classify_flow_field(topo, dest, v)] += 1
-    assert counts == {
-        FlowFieldClass.FIELD_A: 1,
-        FlowFieldClass.FIELD_B: 1,
-        FlowFieldClass.FIELD_C: 1,
-        FlowFieldClass.FIELD_D: 1,
-        FlowFieldClass.BOUNDARY_ROW: 2,
-        FlowFieldClass.BOUNDARY_COL: 2,
-        FlowFieldClass.BOUNDARY_ANTIPODAL: 7,
-        FlowFieldClass.DEST: 1,
-    }
-
-
-def test_flow_field_quadrant_signs():
-    topo = build_torus(16, 16)
-    dest = (8, 8)
-    samples = {
-        FlowFieldClass.FIELD_A: (10, 11),
-        FlowFieldClass.FIELD_B: (11, 5),
-        FlowFieldClass.FIELD_C: (4, 3),
-        FlowFieldClass.FIELD_D: (5, 12),
-    }
-    for cls, v in samples.items():
-        assert classify_flow_field(topo, dest, v) is cls
 
 
 def test_forward_reachable_set_intact_is_everything():
