@@ -20,7 +20,13 @@ import time
 
 from . import __version__
 from .analysis import AggregateMetrics, aggregate_sweep
-from .forwarding import EngineConfig, HopKind, Method, _route_pairs
+from .forwarding import (
+    EngineConfig,
+    HopKind,
+    Method,
+    _route_pairs,
+    default_engine_config,
+)
 from .montecarlo import ExperimentConfig, _replicate_setup, run_sweep
 from .potential import _base_tables, _relative_index
 from .topology import Direction, FailureMode, _neighbor_table, build_torus
@@ -133,8 +139,6 @@ def parse_args(argv=None):
     engine = None
     if ns.sst is not None or ns.ttl is not None:
         topo = build_torus(ns.rows, ns.cols)
-        from .forwarding import default_engine_config
-
         dflt = default_engine_config(topo)
         try:
             engine = EngineConfig(

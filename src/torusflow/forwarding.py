@@ -30,6 +30,7 @@ from .topology import (
     _CLOCKWISE as _CW,
     _COUNTERCW as _CCW,
     _OPPOSITE as _OPP,
+    DIRECTIONS,
     Direction,
     FailureScenario,
     NodeId,
@@ -95,43 +96,34 @@ class PacketOutcome:
 
 
 # ---------------------------------------------------------------------------
-# egress choice helpers; `base` is 4 * node_index into the port aliveness bits
+# the reverse-flow egress rule, shared by generation and relay; `mask` is a
+# node's alive-port byte (bit d set when port d is up) and `ref` the table
+# port, which at a relay is the ingress
 
-def _gen_egress(ports, base: int, ref: int, policy: int) -> int:
-    """Alternative egress when the table port `ref` is dead, or -1 to drop.
-    Requires `ref` dead, which is the only case the engine calls it in, so
-    at most three ports are alive. With three, the counter-facing policy
-    (0) takes the opposite port and the lateral-facing one (1) the
-    clockwise port; with two, only the opposite of the dead port counts;
-    with fewer the packet is dropped."""
-    k = ports[base] + ports[base + 1] + ports[base + 2] + ports[base + 3]
-    if k == 3:
-        return _CW[ref] if policy else _OPP[ref]
-    if k == 2 and ports[base + _OPP[ref]]:
-        return _OPP[ref]
-    return -1
-
-
-def _relay_egress(ports, base: int, ingress: int, policy: int) -> int:
-    """Egress for a recognized reverse-flow packet. Requires the ingress
-    port alive, which holds because every hop takes an alive link. With
-    three or more alive ports at least two of the three candidates are
-    alive, so the policy order always yields one; with fewer the packet
-    goes out of the opposite port if it is alive, else bounces back out of
-    the ingress."""
-    k = ports[base] + ports[base + 1] + ports[base + 2] + ports[base + 3]
+def _egress(mask: int, ref: int, policy: int) -> int:
+    """Egress for a reverse-flow event at a node, or -1 to drop. With three
+    or more alive ports take the first alive one in the policy order:
+    counter-facing (0) tries opposite, clockwise, then counter-clockwise of
+    `ref`, lateral-facing (1) clockwise, counter-clockwise, then opposite.
+    With two, take the opposite of `ref` if it is alive. Otherwise go back
+    out of `ref` if it is alive, else drop. A generation has `ref` dead
+    and a relay has it alive, so a relay never drops."""
+    k = mask.bit_count()
     if k >= 3:
         if policy == 0:
-            order = (_OPP[ingress], _CW[ingress], _CCW[ingress])
+            order = (_OPP[ref], _CW[ref], _CCW[ref])
         else:
-            order = (_CW[ingress], _CCW[ingress], _OPP[ingress])
+            order = (_CW[ref], _CCW[ref], _OPP[ref])
         for d in order:
-            if ports[base + d]:
+            if mask >> d & 1:
                 return d
-    if k == 2:
-        d = _OPP[ingress]
-        return d if ports[base + d] else ingress
-    return ingress
+    if k == 2 and mask >> _OPP[ref] & 1:
+        return _OPP[ref]
+    return ref if mask >> ref & 1 else -1
+
+
+# indexed by mask << 3 | ref << 1 | policy
+_EGRESS = tuple(_egress(m, r, p) for m in range(16) for r in range(4) for p in range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +142,10 @@ def _route_nf(ports, nbr, nxt, down, at: int, rel: int, ttl: int, trace):
     while rel:  # relative index 0 is the destination
         if hops >= ttl:
             return 2, at, rel, hops
-        base = 4 * at
         d = nxt[rel]
-        if not ports[base + d]:
+        if not ports[at] >> d & 1:
             return 1, at, rel, hops
-        b = nbr[base + d]
+        b = nbr[4 * at + d]
         if trace is not None:
             trace.append((at, b, d, 0))
         at = b
@@ -167,15 +158,15 @@ def _route_lfa(ports, nbr, phi, nxt, down, at, rel, hops: int, ttl: int, trace):
     """At each dead table port take the first alive strictly descending
     port, then follow the table again."""
     while True:
-        base = 4 * at
+        mask = ports[at]
         rbase = 4 * rel
         here = phi[rel]
         for d in range(4):
-            if ports[base + d] and phi[nbr[rbase + d]] < here:
+            if mask >> d & 1 and phi[nbr[rbase + d]] < here:
                 break
         else:
             return 1, hops, 0, trace, None
-        b = nbr[base + d]
+        b = nbr[4 * at + d]
         if trace is not None:
             trace.append((at, b, d, 0))
         code, at, rel, nf_hops = _route_nf(
@@ -209,29 +200,27 @@ def _route_rf(
             return 0, hops, rev_hops, trace, annih
         if hops >= ttl:
             return 2, hops, rev_hops, trace, annih
-        base = 4 * at
         d = nxt[rel]
-        normal = True
-        if reverse_mode:
-            if d == ingress:
-                # still flowing against the table; oscillation guard first
-                if h_event > sst:
-                    policy ^= 1
-                    h_event = 0
-                d = _relay_egress(ports, base, ingress, policy)
-                h_event += 1
-                normal = False
-            else:
+        mask = ports[at]
+        if reverse_mode and d == ingress:
+            # still flowing against the table; oscillation guard first
+            if h_event > sst:
+                policy ^= 1
+                h_event = 0
+            d = _EGRESS[mask << 3 | d << 1 | policy]
+            h_event += 1
+        else:
+            if reverse_mode:
                 if record:
                     annih.append(at)
                 reverse_mode = False
                 h_event = 0
-        if normal and not ports[base + d]:
-            d = _gen_egress(ports, base, d, policy)
-            if d < 0:
-                return 1, hops, rev_hops, trace, annih
-            reverse_mode = True
-            h_event = 1
+            if not mask >> d & 1:
+                d = _EGRESS[mask << 3 | d << 1 | policy]
+                if d < 0:
+                    return 1, hops, rev_hops, trace, annih
+                reverse_mode = True
+                h_event = 1
         # h_event is 1 right after a generation or a switch, and only then
         if h_event == 1 and not record:
             key = 2 * at + policy
@@ -245,7 +234,7 @@ def _route_rf(
                 saved, saved_hops, saved_rev = key, hops, rev_hops
                 power, lam = 2 * power, 0
             lam += 1
-        b = nbr[base + d]
+        b = nbr[4 * at + d]
         rb = nbr[4 * rel + d]
         if phi[rb] < phi[rel]:
             if record:
@@ -269,7 +258,7 @@ def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, 
     its own copy of the prefix trace. Without it trace and annihilation
     points are None."""
     rows, cols = scenario.topology.rows, scenario.topology.cols
-    ports = scenario._port_bits
+    ports = scenario._port_mask
     nbr = _neighbor_table(rows, cols)
     phi, nxt, down = _base_tables(rows, cols)
     for src, dst in pairs:
@@ -298,6 +287,7 @@ def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, 
 
 
 _VERDICTS = (Verdict.DELIVERED, Verdict.DROPPED_NO_EGRESS, Verdict.DROPPED_TTL)
+_KINDS = (HopKind.FORWARD, HopKind.REVERSE)
 
 
 def route_packet(
@@ -329,12 +319,7 @@ def route_packet(
     records = ()
     if trace:
         records = tuple(
-            HopRecord(
-                topo.node_at(a),
-                topo.node_at(b),
-                Direction(d),
-                HopKind.REVERSE if kind else HopKind.FORWARD,
-            )
+            HopRecord(topo.node_at(a), topo.node_at(b), DIRECTIONS[d], _KINDS[kind])
             for a, b, d, kind in trace
         )
     return PacketOutcome(

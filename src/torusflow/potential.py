@@ -140,7 +140,7 @@ def forward_reachable_set(scenario: FailureScenario, dest: NodeId) -> frozenset[
     dest_idx = topo.node_index(dest)
     phi = _base_tables(topo.rows, topo.cols)[0]
     nbr = _neighbor_table(topo.rows, topo.cols)
-    ports = scenario._port_bits
+    ports = scenario._port_mask
     seen = bytearray(topo.num_nodes)
     seen[dest_idx] = 1
     # (node, relative index) pairs; a port leads to the same direction in
@@ -149,8 +149,9 @@ def forward_reachable_set(scenario: FailureScenario, dest: NodeId) -> frozenset[
     while stack:
         w, rel = stack.pop()
         up = phi[rel] + 1
+        mask = ports[w]
         for d in range(4):
-            if ports[4 * w + d]:
+            if mask >> d & 1:
                 u = nbr[4 * w + d]
                 ru = nbr[4 * rel + d]
                 if not seen[u] and phi[ru] == up:

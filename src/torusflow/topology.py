@@ -160,9 +160,10 @@ class FailureScenario:
     """Frozen outcome of a failure draw on one topology.
 
     The alive network is stored only as bytes, built by `_scenario_bytes`:
-    entry 4*v + d of port_bits says whether the link at node v's port d is up
-    (symmetric across its two endpoints), entry v of node_bits whether node v
-    is up.
+    entry v of port_mask has bit d set when the link at node v's port d is
+    up (symmetric across its two endpoints), and entry v of node_bits says
+    whether node v is up. A live node can have mask 0, so aliveness has its
+    own byte.
     """
 
     def __init__(
@@ -171,21 +172,22 @@ class FailureScenario:
         mode: FailureMode,
         p: float,
         seed: int,
-        port_bits: bytes,
+        port_mask: bytes,
         node_bits: bytes,
     ):
         self.topology = topology
         self.mode = mode
         self.p = p
         self.seed = seed
-        self._port_bits = port_bits
+        self._port_mask = port_mask
         self._node_bits = node_bits
 
     @cached_property
     def failed_links(self) -> frozenset[LinkId]:
         """Canonical ids of every dead link, including those of dead nodes."""
         topo = self.topology
-        ports = np.frombuffer(self._port_bits, dtype=np.uint8).reshape(-1, 4)
+        mask = np.frombuffer(self._port_mask, dtype=np.uint8)
+        ports = np.unpackbits(mask, bitorder="little").reshape(-1, 8)
         nodes, cols = np.nonzero(ports[:, Direction.E : Direction.S + 1] == 0)
         return frozenset(
             canonical_link(topo, topo.node_at(v), _EAST_SOUTH[d])
@@ -203,7 +205,8 @@ class FailureScenario:
         the smallest node index of the component; dead nodes get -1."""
         topo = self.topology
         n = topo.num_nodes
-        up = np.frombuffer(self._port_bits, dtype=np.uint8).reshape(n, 4) != 0
+        mask = np.frombuffer(self._port_mask, dtype=np.uint8)
+        up = np.unpackbits(mask, bitorder="little").view(bool).reshape(n, 8)[:, :4]
         own = np.arange(n)
         # a dead port points back at its own node
         hop = np.where(up, _neighbor_indices(topo.rows, topo.cols), own[:, None])
@@ -227,17 +230,18 @@ class FailureScenario:
 
 
 def _scenario_bytes(topo: TorusTopology, dead_e, dead_s, dead_nodes):
-    """Port and node bytes from boolean arrays over node indices that mark
-    dead E ports, dead S ports and dead nodes. A dead node takes down its own
-    four ports and the facing port of each neighbor."""
+    """Port mask and node bytes from boolean arrays over node indices that
+    mark dead E ports, dead S ports and dead nodes. A dead node takes down
+    its own four ports and the facing port of each neighbor."""
     nbr = _neighbor_indices(topo.rows, topo.cols)
-    dead = np.empty((topo.num_nodes, 4), dtype=bool)
-    dead[:, Direction.E] = dead_e | dead_nodes | dead_nodes[nbr[:, Direction.E]]
-    dead[:, Direction.S] = dead_s | dead_nodes | dead_nodes[nbr[:, Direction.S]]
-    # a W port is its west neighbor's E port, an N port its north neighbor's S
-    dead[:, Direction.W] = dead[nbr[:, Direction.W], Direction.E]
-    dead[:, Direction.N] = dead[nbr[:, Direction.N], Direction.S]
-    return (~dead).tobytes(), (~dead_nodes).tobytes()
+    up_e = ~(dead_e | dead_nodes | dead_nodes[nbr[:, Direction.E]])
+    up_s = ~(dead_s | dead_nodes | dead_nodes[nbr[:, Direction.S]])
+    up_e, up_s = up_e.view(np.uint8), up_s.view(np.uint8)
+    # bit d is port d, in N, E, S, W order; a W port is its west neighbor's
+    # E port, an N port its north neighbor's S
+    north, west = up_s[nbr[:, Direction.N]], up_e[nbr[:, Direction.W]]
+    mask = north | up_e << 1 | up_s << 2 | west << 3
+    return mask.tobytes(), (~dead_nodes).tobytes()
 
 
 def apply_bond_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
@@ -308,13 +312,11 @@ def is_node_alive(scenario: FailureScenario, node: NodeId) -> bool:
 
 
 def is_link_alive(scenario: FailureScenario, node: NodeId, d: Direction) -> bool:
-    return bool(scenario._port_bits[4 * scenario.topology.node_index(node) + d])
+    return bool(scenario._port_mask[scenario.topology.node_index(node)] >> d & 1)
 
 
 def alive_degree(scenario: FailureScenario, node: NodeId) -> int:
-    base = 4 * scenario.topology.node_index(node)
-    bits = scenario._port_bits
-    return bits[base] + bits[base + 1] + bits[base + 2] + bits[base + 3]
+    return scenario._port_mask[scenario.topology.node_index(node)].bit_count()
 
 
 def largest_component_fraction(scenario: FailureScenario) -> float:

@@ -298,7 +298,9 @@ def test_criterion_01_fault_free_exactness():
     for rep in range(config.replicates):
         scenario, pairs = replicate_inputs(config, 0.0, 0, rep)
         for src, dst in pairs:
-            phi = phi_cache.setdefault(dst, compute_potential(topo, dst))
+            if dst not in phi_cache:
+                phi_cache[dst] = compute_potential(topo, dst)
+            phi = phi_cache[dst]
             for method in ALL_METHODS:
                 out = route_packet(scenario, method, src, dst, engine,
                                    record_trace=False)
@@ -361,7 +363,9 @@ def test_criterion_03_annihilation_invariant():
         for rep in range(config.replicates):
             scenario, pairs = replicate_inputs(config, p, p_index, rep)
             for src, dst in pairs:
-                phi = phi_cache.setdefault(dst, compute_potential(topo, dst))
+                if dst not in phi_cache:
+                    phi_cache[dst] = compute_potential(topo, dst)
+                phi = phi_cache[dst]
                 for method in (Method.RF_CF, Method.RF_LF):
                     out = route_packet(scenario, method, src, dst, engine)
                     routed += 1

@@ -13,9 +13,8 @@ from torusflow.forwarding import (
     HopKind,
     Method,
     Verdict,
+    _EGRESS,
     _VERDICTS,
-    _gen_egress,
-    _relay_egress,
     _route_pairs,
     default_engine_config,
     route_packet,
@@ -115,10 +114,44 @@ def test_step_nf_and_lfa():
 
 
 # ---------------------------------------------------------------------------
-# egress rules, on the states the engine calls them in
+# the egress table, on the states the engine reads it in: generation with
+# the reference port dead, relay with it alive
 
 def egress_args(scenario, at):
-    return scenario._port_bits, 4 * scenario.topology.node_index(at)
+    return scenario._port_mask[scenario.topology.node_index(at)]
+
+
+def egress(mask, port, policy):
+    return _EGRESS[mask << 3 | port << 1 | policy]
+
+
+def test_egress_table_matches_reference_on_every_state():
+    at = (1, 2)
+    policies = ("OPPOSITE_FIRST", "SIDE_FIRST")
+    topo = build_torus(4, 4)
+    states = 0
+    mismatches = []
+    for mask in range(16):
+        dead = [d for d in range(4) if not mask >> d & 1]
+        net = ref.Net(
+            4, 4,
+            dead_links=[(at, ref.move(4, 4, at, ref.PORT_ORDER[d])) for d in dead],
+        )
+        scenario = from_failed_links(topo, [(at, d) for d in dead])
+        assert egress_args(scenario, at) == mask
+        for r in range(4):
+            port = ref.PORT_ORDER[r]
+            for policy in range(2):
+                if mask >> r & 1:
+                    want = ref._relay_port(net, at, port, policies[policy])
+                else:
+                    want = ref._generation_port(net, at, port, policies[policy])
+                want = -1 if want is None else ref.PORT_ORDER.index(want)
+                states += 1
+                if egress(mask, r, policy) != want:
+                    mismatches.append((mask, r, policy))
+    assert states == len(_EGRESS) == 128
+    assert mismatches == []
 
 
 def test_rf_generate_branches():
@@ -129,25 +162,25 @@ def test_rf_generate_branches():
 
     # three alive ports: opposite for counter-facing, clockwise for lateral
     no_ref = egress_args(from_failed_links(topo, [(at, N)]), at)
-    assert _gen_egress(*no_ref, N, cf) == S
-    assert _gen_egress(*no_ref, N, lf) == E
+    assert egress(no_ref, N, cf) == S
+    assert egress(no_ref, N, lf) == E
     no_e = egress_args(from_failed_links(topo, [(at, E)]), at)
-    assert _gen_egress(*no_e, E, cf) == W
-    assert _gen_egress(*no_e, E, lf) == S
+    assert egress(no_e, E, cf) == W
+    assert egress(no_e, E, lf) == S
 
     # exactly two alive ports: only the opposite of the reference counts
     two_opp = egress_args(from_failed_links(topo, [(at, N), (at, E)]), at)
-    assert _gen_egress(*two_opp, N, cf) == S
-    assert _gen_egress(*two_opp, N, lf) == S
+    assert egress(two_opp, N, cf) == S
+    assert egress(two_opp, N, lf) == S
     two_side = egress_args(from_failed_links(topo, [(at, N), (at, S)]), at)
-    assert _gen_egress(*two_side, N, cf) == -1
-    assert _gen_egress(*two_side, N, lf) == -1
+    assert egress(two_side, N, cf) == -1
+    assert egress(two_side, N, lf) == -1
 
     # one or zero alive ports: always drop
     one = egress_args(from_failed_links(topo, [(at, N), (at, E), (at, S)]), at)
-    assert _gen_egress(*one, N, cf) == -1
+    assert egress(one, N, cf) == -1
     none = egress_args(from_failed_links(topo, [(at, d) for d in (N, E, S, W)]), at)
-    assert _gen_egress(*none, N, lf) == -1
+    assert egress(none, N, lf) == -1
 
 
 def test_rf_relay_branches_and_bounce():
@@ -157,27 +190,27 @@ def test_rf_relay_branches_and_bounce():
     cf, lf = 0, 1
 
     intact = egress_args(apply_bond_failures(topo, 0.0, seed=0), at)
-    assert _relay_egress(*intact, N, cf) == S
-    assert _relay_egress(*intact, N, lf) == E
+    assert egress(intact, N, cf) == S
+    assert egress(intact, N, lf) == E
 
     # three alive, first choice dead: the policy order moves on
     no_opp = egress_args(from_failed_links(topo, [(at, S)]), at)
-    assert _relay_egress(*no_opp, N, cf) == E
+    assert egress(no_opp, N, cf) == E
     no_cw = egress_args(from_failed_links(topo, [(at, E)]), at)
-    assert _relay_egress(*no_cw, N, lf) == W
+    assert egress(no_cw, N, lf) == W
 
     # two alive with the opposite port up
     two_opp = egress_args(from_failed_links(topo, [(at, E), (at, W)]), at)
-    assert _relay_egress(*two_opp, N, cf) == S
+    assert egress(two_opp, N, cf) == S
 
     # two alive, opposite down: bounce back out of the ingress
     two_side = egress_args(from_failed_links(topo, [(at, E), (at, S)]), at)
-    assert _relay_egress(*two_side, N, cf) == N
-    assert _relay_egress(*two_side, N, lf) == N
+    assert egress(two_side, N, cf) == N
+    assert egress(two_side, N, lf) == N
 
     # only the ingress left
     one = egress_args(from_failed_links(topo, [(at, E), (at, S), (at, W)]), at)
-    assert _relay_egress(*one, N, lf) == N
+    assert egress(one, N, lf) == N
 
 
 # ---------------------------------------------------------------------------

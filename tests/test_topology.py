@@ -380,8 +380,18 @@ def test_draw_order_and_hand_built_scenarios_agree():
                     rebuilt = from_failures(
                         topo, links=scen.failed_links, nodes=scen.failed_nodes
                     )
-                    assert rebuilt._port_bits == scen._port_bits
+                    assert rebuilt._port_mask == scen._port_mask
                     assert rebuilt._node_bits == scen._node_bits
+                    for v in map(topo.node_at, range(topo.num_nodes)):
+                        for d in DIRECTIONS:
+                            alive = is_link_alive(scen, v, d)
+                            u = neighbor(topo, v, d)
+                            assert alive == is_link_alive(scen, u, opposite(d))
+                            assert alive == (
+                                canonical_link(topo, v, d) not in dead_links
+                                and v not in dead_nodes
+                                and u not in dead_nodes
+                            )
 
 
 def test_hand_built_scenarios_reject_off_grid_nodes():
