@@ -294,7 +294,8 @@ def emit_traces(config: ExperimentConfig, path: str):
         out.write("packet,method,hop,from,to,dir,kind,phi_from,phi_to\n")
         for p_index, p in enumerate(config.p_values):
             for rep in range(config.replicates):
-                scenario, pairs = _replicate_setup(config, p, p_index, rep)
+                scenario, srcs, dsts = _replicate_setup(config, p, p_index, rep)
+                pairs = list(zip(srcs.tolist(), dsts.tolist()))
                 lines = []
                 routes_per_pair = _route_pairs(
                     scenario, pairs, config.methods, engine.sst, engine.ttl, True

@@ -25,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .potential import _base_tables, _relative_index
+import numpy as np
+
+from .potential import _base_arrays, _base_tables, _relative_index
 from .topology import (
     _CLOCKWISE as _CW,
     _COUNTERCW as _CCW,
@@ -35,6 +37,7 @@ from .topology import (
     FailureScenario,
     NodeId,
     TorusTopology,
+    _neighbor_indices,
     _neighbor_table,
     diameter,
     is_node_alive,
@@ -249,6 +252,19 @@ def _route_rf(
         hops += 1
 
 
+def _route_on(
+    method, ports, nbr, tables, at: int, rel: int, hops: int, sst: int, ttl: int, trace
+):
+    """Continue a packet with a method other than NF from the dead table
+    port where its NF prefix stopped; returns (code, hops, reverse hops,
+    trace, annihilation points)."""
+    phi, nxt, down = tables
+    if method is Method.LFA:
+        return _route_lfa(ports, nbr, phi, nxt, down, at, rel, hops, ttl, trace)
+    policy = 0 if method is Method.RF_CF else 1
+    return _route_rf(ports, nbr, phi, nxt, at, rel, hops, policy, sst, ttl, trace)
+
+
 def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, record):
     """Route one packet per (src, dst) node index pair with each of
     `methods`, yielding per pair one (code, hops, reverse hops, trace,
@@ -260,7 +276,8 @@ def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, 
     rows, cols = scenario.topology.rows, scenario.topology.cols
     ports = scenario._port_mask
     nbr = _neighbor_table(rows, cols)
-    phi, nxt, down = _base_tables(rows, cols)
+    tables = _base_tables(rows, cols)
+    nxt, down = tables[1:]
     for src, dst in pairs:
         trace = [] if record else None
         rel = _relative_index(rows, cols, src, dst)
@@ -268,22 +285,41 @@ def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, 
         if code != 1:
             yield [(code, hops, 0, trace, None)] * len(methods)
             continue
-        results = []
-        for method in methods:
-            if method is Method.NF:
-                results.append((code, hops, 0, trace, None))
-                continue
-            rest = trace[:] if record else None
-            if method is Method.LFA:
-                results.append(
-                    _route_lfa(ports, nbr, phi, nxt, down, at, rel, hops, ttl, rest)
-                )
-            else:
-                policy = 0 if method is Method.RF_CF else 1
-                results.append(_route_rf(
-                    ports, nbr, phi, nxt, at, rel, hops, policy, sst, ttl, rest
-                ))
-        yield results
+        yield [
+            (code, hops, 0, trace, None) if method is Method.NF
+            else _route_on(method, ports, nbr, tables, at, rel, hops, sst, ttl,
+                           trace[:] if record else None)
+            for method in methods
+        ]
+
+
+def _route_nf_stack(ports, base, at, rel, rows: int, cols: int, ttl: int):
+    """_route_nf for many packets at once, stepped in lockstep with numpy.
+    `ports` is a uint8 stack of port masks (see topology._stack_labels),
+    `base` each packet's scenario offset in it, and `at` and `rel` its node
+    and relative index arrays. Returns code, node, relative index and hop
+    arrays, each entry as _route_nf returns it for that packet."""
+    nxt, down = _base_arrays(rows, cols)[1:]
+    nbr = _neighbor_indices(rows, cols).ravel()
+    at, rel = at.copy(), rel.copy()
+    code = np.zeros(at.size, dtype=np.uint8)
+    hops = np.zeros(at.size, dtype=np.int32)
+    live = np.flatnonzero(rel)  # relative index 0 is the destination
+    step = 0
+    while live.size and step < ttl:
+        here, r = at[live], rel[live]
+        d = nxt[r]
+        up = (ports[base[live] + here] >> d & 1).astype(bool)
+        code[live[~up]] = 1
+        live, here, r, d = live[up], here[up], r[up], d[up]
+        step += 1
+        at[live] = nbr[4 * here + d]
+        r = down[r]
+        rel[live] = r
+        hops[live] = step
+        live = live[r != 0]
+    code[live] = 2  # still on the way after ttl hops
+    return code, at, rel, hops
 
 
 _VERDICTS = (Verdict.DELIVERED, Verdict.DROPPED_NO_EGRESS, Verdict.DROPPED_TTL)

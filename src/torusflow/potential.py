@@ -77,19 +77,28 @@ def _base_grids(rows: int, cols: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _base_tables(rows: int, cols: int):
-    """Flat potential, egress and one-hop-down lists for destination index 0,
-    indexed by a node's index relative to the destination (_relative_index).
-    `down[v]` is the relative index of v's table neighbor, 0 at the
-    destination. The lists are shared and must not be mutated."""
+def _base_arrays(rows: int, cols: int):
+    """Flat read-only potential, egress and one-hop-down arrays for
+    destination index 0, indexed by a node's index relative to the
+    destination (_relative_index). `down[v]` is the relative index of v's
+    table neighbor, 0 at the destination."""
     phi, nxt = (grid.ravel() for grid in _base_grids(rows, cols))
     down = _neighbor_indices(rows, cols)[np.arange(rows * cols), nxt]
     down[0] = 0
-    return phi.tolist(), nxt.tolist(), down.tolist()
+    down.flags.writeable = False
+    return phi, nxt, down
 
 
-def _relative_index(rows: int, cols: int, v: int, dest: int) -> int:
-    """Index of node v in the frame that puts dest at index 0."""
+@functools.lru_cache(maxsize=None)
+def _base_tables(rows: int, cols: int):
+    """_base_arrays as lists, for the per-packet loops. The lists are
+    shared and must not be mutated."""
+    return tuple(table.tolist() for table in _base_arrays(rows, cols))
+
+
+def _relative_index(rows: int, cols: int, v, dest):
+    """Index of node v in the frame that puts dest at index 0; elementwise
+    for numpy index arrays."""
     return (v // cols - dest // cols) % rows * cols + (v - dest) % cols
 
 

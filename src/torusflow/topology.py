@@ -204,22 +204,12 @@ class FailureScenario:
         """Connected-component label per node index over the alive network:
         the smallest node index of the component; dead nodes get -1."""
         topo = self.topology
-        n = topo.num_nodes
-        mask = np.frombuffer(self._port_mask, dtype=np.uint8)
-        up = np.unpackbits(mask, bitorder="little").view(bool).reshape(n, 8)[:, :4]
-        own = np.arange(n)
-        # a dead port points back at its own node
-        hop = np.where(up, _neighbor_indices(topo.rows, topo.cols), own[:, None])
-        labels = own
-        while True:
-            # the node's own label must take part, or labels can oscillate
-            low = np.minimum(labels, labels[hop].min(axis=1))
-            low = low[low]
-            if np.array_equal(low, labels):
-                break
-            labels = low
-        labels[np.frombuffer(self._node_bits, dtype=np.uint8) == 0] = -1
-        return labels
+        return _stack_labels(
+            topo.rows,
+            topo.cols,
+            np.frombuffer(self._port_mask, dtype=np.uint8),
+            np.frombuffer(self._node_bits, dtype=np.uint8),
+        )
 
     def __repr__(self):
         return (
@@ -227,6 +217,33 @@ class FailureScenario:
             f"{self.mode.value}, p={self.p}, seed={self.seed}, "
             f"{len(self.failed_links)} dead links, {len(self.failed_nodes)} dead nodes)"
         )
+
+
+def _stack_labels(rows: int, cols: int, port_mask, node_bits) -> np.ndarray:
+    """Connected-component labels over a stack of scenarios of one shape.
+    `port_mask` and `node_bits` are uint8 arrays holding the scenarios'
+    bytes back to back, so node v of scenario b is stack index
+    b * rows * cols + v. A node's label is the smallest stack index of its
+    component over the alive network, which lies in its own scenario's
+    range; dead nodes get -1."""
+    n = rows * cols
+    own = np.arange(port_mask.size)
+    base = own[::n, None]  # each scenario's first stack index
+    # row d holds every node's neighbor across port d, in its own
+    # scenario's range; a dead port points back at its own node
+    hop = np.empty((4, own.size), dtype=own.dtype)
+    for d, row in enumerate(_neighbor_indices(rows, cols).T):
+        hop[d] = np.where(port_mask >> d & 1, (row + base).ravel(), own)
+    labels = own
+    while True:
+        # the node's own label must take part, or labels can oscillate
+        low = np.minimum(labels, labels[hop].min(axis=0))
+        low = low[low]
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    labels[node_bits == 0] = -1
+    return labels
 
 
 def _scenario_bytes(topo: TorusTopology, dead_e, dead_s, dead_nodes):
@@ -322,11 +339,15 @@ def alive_degree(scenario: FailureScenario, node: NodeId) -> int:
 def largest_component_fraction(scenario: FailureScenario) -> float:
     """Size of the largest alive connected component over the total node
     count. 0.0 if nothing is alive."""
-    labels = scenario._component_labels
-    alive = labels[labels >= 0]
-    if not alive.size:
-        return 0.0
-    return int(np.bincount(alive).max()) / scenario.topology.num_nodes
+    n = scenario.topology.num_nodes
+    return _largest_component_fractions(scenario._component_labels, n)[0]
+
+
+def _largest_component_fractions(labels, n: int) -> list[float]:
+    """largest_component_fraction of every scenario in a _stack_labels
+    stack of n-node scenarios."""
+    sizes = np.bincount(labels[labels >= 0], minlength=labels.size)
+    return (sizes.reshape(-1, n).max(axis=1) / n).tolist()
 
 
 def is_connected_pair(scenario: FailureScenario, a: NodeId, b: NodeId) -> bool:

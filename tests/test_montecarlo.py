@@ -5,8 +5,10 @@ import pytest
 import reference_engine as ref
 from torusflow.forwarding import EngineConfig, Method
 from torusflow.montecarlo import (
+    _BLOCK_NODES,
     ExperimentConfig,
     MethodTally,
+    _run_block,
     replicate_inputs,
     run_replicate,
     run_sweep,
@@ -256,6 +258,47 @@ def test_run_replicate_matches_sweep_entries():
     results = run_sweep(cfg)
     for rep in range(3):
         assert results[rep] == run_replicate(cfg, 0.15, 0, rep)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(rows=16, cols=16, p_values=(0.05,)),
+        dict(rows=12, cols=10, mode=FailureMode.SITE, p_values=(0.15,)),
+        dict(rows=5, cols=7, mode=FailureMode.SITE, p_values=(0.9,)),
+        dict(rows=16, cols=16, p_values=(0.1,), engine=EngineConfig(sst=1, ttl=5)),
+        dict(rows=64, cols=64, mode=FailureMode.SITE, p_values=(0.01,)),
+    ],
+    ids=["bond", "site", "site-few-alive", "ttl-below-diameter", "over-node-budget"],
+)
+def test_results_do_not_depend_on_block_boundaries(overrides):
+    """Routing one p's replicates in blocks of 1, of 7 or all together gives
+    each replicate the result it has routed alone, also when a block mixes
+    replicates with fewer than two alive nodes into routed ones, and when
+    the ttl stops the shared table-path walk. A block of all 40 holds more
+    than 255 tally cells, and on 64x64 more nodes than one routed block
+    stacks."""
+    cfg = small_config(replicates=40, **overrides)
+    p = cfg.p_values[0]
+    alone = [run_replicate(cfg, p, 0, rep) for rep in range(cfg.replicates)]
+    for size in (1, 7, cfg.replicates):
+        blocks = [
+            _run_block((cfg, p, 0, start, min(start + size, cfg.replicates)))
+            for start in range(0, cfg.replicates, size)
+        ]
+        assert [r for block in blocks for r in block] == alone, size
+    unrouted = [
+        r.structurally_unreachable_pairs == cfg.packets_per_replicate
+        and r.tallies[Method.NF]
+        == MethodTally(dropped_unreachable_dest=cfg.packets_per_replicate)
+        for r in alone
+    ]
+    if cfg.rows == 5:
+        assert any(unrouted) and not all(unrouted)
+    if cfg.engine is not None:
+        assert sum(r.tallies[Method.NF].dropped_ttl for r in alone) > 0
+    if cfg.rows == 64:
+        assert cfg.replicates * cfg.rows * cfg.cols > _BLOCK_NODES
 
 
 def test_replicate_tallies_match_reference_at_edge_engine_configs():

@@ -32,6 +32,7 @@ from torusflow.topology import (
     neighbors,
     opposite,
     torus_distance,
+    _stack_labels,
 )
 
 N, E, S, W = Direction.N, Direction.E, Direction.S, Direction.W
@@ -345,6 +346,29 @@ def test_component_labels_match_search_on_draws(mode, p_values):
                 dead_links, dead_nodes = drawn_failures(topo, mode, p, seed)
                 scen = DRAWS[mode](topo, p, seed)
                 assert_labels_match(scen, dead_links, dead_nodes)
+
+
+def test_stacked_labels_equal_each_scenarios_labels():
+    """Labelling 16x16 draws stacked back to back gives each scenario its
+    own labels moved into its stack range; a label outside that range would
+    merge components of different scenarios."""
+    topo = build_torus(16, 16)
+    n = topo.num_nodes
+    for mode, p_values in ((FailureMode.BOND, (0.45, 0.5, 0.05, 1.0)),
+                           (FailureMode.SITE, (0.35, 0.41, 0.05, 1.0))):
+        scens = [DRAWS[mode](topo, p, seed) for p in p_values for seed in range(3)]
+        labels = _stack_labels(
+            16, 16,
+            np.frombuffer(b"".join(s._port_mask for s in scens), dtype=np.uint8),
+            np.frombuffer(b"".join(s._node_bits for s in scens), dtype=np.uint8),
+        )
+        assert labels.shape == (len(scens) * n,)
+        for b, scen in enumerate(scens):
+            own = labels[b * n:(b + 1) * n]
+            alive = own >= 0
+            assert ((own[alive] >= b * n) & (own[alive] < (b + 1) * n)).all()
+            moved = np.where(alive, own - b * n, -1)
+            assert np.array_equal(moved, scen._component_labels), (mode, b)
 
 
 def test_component_labels_follow_a_serpentine():
