@@ -27,11 +27,7 @@ from .montecarlo import (
     run_sweep,
     seed_for,
 )
-from .potential import (
-    PotentialField,
-    RoutingTable,
-    signed_offsets,
-)
+from .potential import PotentialField
 from .topology import (
     Direction,
     FailureMode,
@@ -41,12 +37,8 @@ from .topology import (
     apply_site_failures,
     build_torus,
     canonical_link,
-    clockwise,
     diameter,
-    from_failed_nodes,
     is_node_alive,
     largest_component_fraction,
     neighbor,
-    neighbors,
-    opposite,
 )

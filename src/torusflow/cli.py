@@ -103,11 +103,6 @@ def parse_args(argv=None):
     ap = build_parser()
     ns = ap.parse_args(argv)
 
-    if ns.rows < 3:
-        ap.error(f"--rows: torus needs at least 3 rows, got {ns.rows}")
-    if ns.cols < 3:
-        ap.error(f"--cols: torus needs at least 3 cols, got {ns.cols}")
-
     methods = []
     for token in ns.methods.split(","):
         name = token.strip().replace("-", "_").upper()
@@ -117,57 +112,43 @@ def parse_args(argv=None):
             methods.append(Method[name])
         except KeyError:
             ap.error(f"--methods: unknown method {token!r}")
-    if not methods:
-        ap.error("--methods: empty method list")
 
     if ns.p is not None:
         try:
             p_values = tuple(float(tok) for tok in ns.p.split(",") if tok.strip())
         except ValueError:
             ap.error(f"--p: could not parse {ns.p!r}")
-        if not p_values:
-            ap.error("--p: empty probability list")
     else:
         if ns.points < 1:
             ap.error(f"--points: need at least 1, got {ns.points}")
         lo, hi = REGIMES[ns.regime or "medium"]
         p_values = tuple(log_spaced(lo, hi, ns.points))
-    for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            ap.error(f"--p: probability {p} outside [0, 1]")
+    if ns.workers < 1:
+        ap.error(f"--workers: need at least 1, got {ns.workers}")
 
-    engine = None
-    if ns.sst is not None or ns.ttl is not None:
-        topo = build_torus(ns.rows, ns.cols)
-        dflt = default_engine_config(topo)
-        try:
+    # the torus, engine and experiment configs validate the rest
+    try:
+        engine = None
+        if ns.sst is not None or ns.ttl is not None:
+            dflt = default_engine_config(build_torus(ns.rows, ns.cols))
             engine = EngineConfig(
                 sst=ns.sst if ns.sst is not None else dflt.sst,
                 ttl=ns.ttl if ns.ttl is not None else dflt.ttl,
             )
-        except ValueError as exc:
-            ap.error(f"--sst/--ttl: {exc}")
-
-    if ns.replicates < 1:
-        ap.error(f"--replicates: need at least 1, got {ns.replicates}")
-    if ns.packets_per_replicate < 1:
-        ap.error(
-            f"--packets-per-replicate: need at least 1, got {ns.packets_per_replicate}"
+        config = ExperimentConfig(
+            rows=ns.rows,
+            cols=ns.cols,
+            mode=FailureMode(ns.mode),
+            methods=tuple(methods),
+            p_values=p_values,
+            replicates=ns.replicates,
+            packets_per_replicate=ns.packets_per_replicate,
+            engine=engine,
+            master_seed=ns.seed,
         )
-    if ns.workers < 1:
-        ap.error(f"--workers: need at least 1, got {ns.workers}")
+    except ValueError as exc:
+        ap.error(str(exc))
 
-    config = ExperimentConfig(
-        rows=ns.rows,
-        cols=ns.cols,
-        mode=FailureMode(ns.mode),
-        methods=tuple(methods),
-        p_values=p_values,
-        replicates=ns.replicates,
-        packets_per_replicate=ns.packets_per_replicate,
-        engine=engine,
-        master_seed=ns.seed,
-    )
     options = {
         "out_dir": ns.out_dir,
         "format": ns.format,

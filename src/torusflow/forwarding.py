@@ -7,6 +7,10 @@ Four strategies share one frozen routing table:
   RF_CF  reverse flow, counter-facing base policy (opposite port first).
   RF_LF  reverse flow, lateral-facing base policy (side ports first).
 
+The table port is the first descending port in N, E, S, W order, so NF and
+LFA are one walk: take the first alive allowed port at every node, where NF
+allows the table port alone and LFA every descending port.
+
 The reverse-flow strategies may push a packet against its potential. A node
 recognizes such a packet because the table tells it to send the packet back
 out of the port it came in; it then relays it by policy instead. When the
@@ -137,51 +141,35 @@ _EGRESS = tuple(_egress(m, r, p) for m in range(16) for r in range(4) for p in r
 # frames. Verdict codes 0=delivered 1=no_egress 2=ttl; `trace` is the hop
 # list to append to, or None
 
-def _route_nf(ports, nbr, nxt, down, at: int, rel: int, ttl: int, trace):
-    """Follow the table from `at`; returns (code, node, rel, hops) at the
-    destination, the ttl or the first dead table port. Every strategy takes
-    these hops, so the others continue from a dead-port stop (code 1)."""
-    hops = 0
+# lowest set bit of a 4-bit port mask, -1 for none
+_FIRST_PORT = tuple((m & -m).bit_length() - 1 for m in range(16))
+
+
+def _descend(ports, nbr, allowed, at: int, rel: int, hops: int, ttl: int, trace):
+    """Take the first alive port of `allowed[rel]` at every node; returns
+    (code, node, rel, hops) at the destination, the ttl or the first node
+    where no allowed port is alive. With the table port alone allowed
+    (`table_bit`) this is NF, and every strategy takes these hops, so the
+    others continue from a no-egress stop (code 1). With every descending
+    port allowed (`desc`) it is LFA, since the table port is the first
+    descending port."""
     while rel:  # relative index 0 is the destination
         if hops >= ttl:
             return 2, at, rel, hops
-        d = nxt[rel]
-        if not ports[at] >> d & 1:
+        d = _FIRST_PORT[ports[at] & allowed[rel]]
+        if d < 0:
             return 1, at, rel, hops
         b = nbr[4 * at + d]
         if trace is not None:
             trace.append((at, b, d, 0))
         at = b
-        rel = down[rel]
+        rel = nbr[4 * rel + d]
         hops += 1
     return 0, at, rel, hops
 
 
-def _route_lfa(ports, nbr, phi, nxt, down, at, rel, hops: int, ttl: int, trace):
-    """At each dead table port take the first alive strictly descending
-    port, then follow the table again."""
-    while True:
-        mask = ports[at]
-        rbase = 4 * rel
-        here = phi[rel]
-        for d in range(4):
-            if mask >> d & 1 and phi[nbr[rbase + d]] < here:
-                break
-        else:
-            return 1, hops, 0, trace, None
-        b = nbr[4 * at + d]
-        if trace is not None:
-            trace.append((at, b, d, 0))
-        code, at, rel, nf_hops = _route_nf(
-            ports, nbr, nxt, down, b, nbr[rbase + d], ttl - hops - 1, trace
-        )
-        hops += 1 + nf_hops
-        if code != 1:
-            return code, hops, 0, trace, None
-
-
 def _route_rf(
-    ports, nbr, phi, nxt,
+    ports, nbr, nxt, desc,
     at: int, rel: int, hops: int, policy: int, sst: int, ttl: int, trace,
 ):
     """Reverse flow from a normal-mode state. Without a trace, Brent's cycle
@@ -238,8 +226,7 @@ def _route_rf(
                 power, lam = 2 * power, 0
             lam += 1
         b = nbr[4 * at + d]
-        rb = nbr[4 * rel + d]
-        if phi[rb] < phi[rel]:
+        if desc[rel] >> d & 1:
             if record:
                 trace.append((at, b, d, 0))
         else:
@@ -248,7 +235,7 @@ def _route_rf(
                 trace.append((at, b, d, 1))
         ingress = _OPP[d]
         at = b
-        rel = rb
+        rel = nbr[4 * rel + d]
         hops += 1
 
 
@@ -258,11 +245,12 @@ def _route_on(
     """Continue a packet with a method other than NF from the dead table
     port where its NF prefix stopped; returns (code, hops, reverse hops,
     trace, annihilation points)."""
-    phi, nxt, down = tables
+    nxt, desc = tables[1], tables[3]
     if method is Method.LFA:
-        return _route_lfa(ports, nbr, phi, nxt, down, at, rel, hops, ttl, trace)
+        code, _, _, hops = _descend(ports, nbr, desc, at, rel, hops, ttl, trace)
+        return code, hops, 0, trace, None
     policy = 0 if method is Method.RF_CF else 1
-    return _route_rf(ports, nbr, phi, nxt, at, rel, hops, policy, sst, ttl, trace)
+    return _route_rf(ports, nbr, nxt, desc, at, rel, hops, policy, sst, ttl, trace)
 
 
 def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, record):
@@ -277,11 +265,11 @@ def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, 
     ports = scenario._port_mask
     nbr = _neighbor_table(rows, cols)
     tables = _base_tables(rows, cols)
-    nxt, down = tables[1:]
+    table_bit = tables[4]
     for src, dst in pairs:
         trace = [] if record else None
         rel = _relative_index(rows, cols, src, dst)
-        code, at, rel, hops = _route_nf(ports, nbr, nxt, down, src, rel, ttl, trace)
+        code, at, rel, hops = _descend(ports, nbr, table_bit, src, rel, 0, ttl, trace)
         if code != 1:
             yield [(code, hops, 0, trace, None)] * len(methods)
             continue
@@ -294,12 +282,12 @@ def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, 
 
 
 def _route_nf_stack(ports, base, at, rel, rows: int, cols: int, ttl: int):
-    """_route_nf for many packets at once, stepped in lockstep with numpy.
+    """NF's _descend for many packets at once, stepped in lockstep with numpy.
     `ports` is a uint8 stack of port masks (see topology._stack_labels),
     `base` each packet's scenario offset in it, and `at` and `rel` its node
     and relative index arrays. Returns code, node, relative index and hop
-    arrays, each entry as _route_nf returns it for that packet."""
-    nxt, down = _base_arrays(rows, cols)[1:]
+    arrays, each entry as _descend returns it for that packet."""
+    nxt, down = _base_arrays(rows, cols)[1:3]
     nbr = _neighbor_indices(rows, cols).ravel()
     at, rel = at.copy(), rel.copy()
     code = np.zeros(at.size, dtype=np.uint8)

@@ -18,6 +18,7 @@ depends on where blocks split.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ from .topology import (
 _MASK64 = (1 << 64) - 1
 _SCENARIO_SALT = 0x9E3779B97F4A7C15
 _TRAFFIC_SALT = 0xC2B2AE3D27D4EB4F
-_BLOCK_NODES = 1 << 16  # most scenario nodes stacked into one routed block
+_BLOCK_NODES = 1 << 14  # most scenario nodes stacked into one routed block
 
 
 def _mix64(x: int) -> int:
@@ -293,38 +294,25 @@ def _cell_tallies(count: int, rep, codes, hops, rev) -> list[MethodTally]:
     ]
 
 
-def _run_block(args):
-    """Results of replicates rep_start to rep_end - 1 of one p, routed in
-    blocks of at most _BLOCK_NODES stacked nodes."""
-    config, p, p_index, rep_start, rep_end = args
-    size = max(1, _BLOCK_NODES // (config.rows * config.cols))
-    return [
-        result
-        for start in range(rep_start, rep_end, size)
-        for result in _route_block(
-            config, p, p_index, range(start, min(start + size, rep_end))
-        )
-    ]
-
-
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ReplicateResult]:
     """All replicates for all p values, ordered by (p_index,
     replicate_index). The result is a pure function of the config; the
     worker count only changes wall time."""
-    blocks = []
-    step = max(1, config.replicates // max(1, 4 * workers))
-    for p_index, p in enumerate(config.p_values):
-        for start in range(0, config.replicates, step):
-            blocks.append(
-                (config, p, p_index, start, min(start + step, config.replicates))
-            )
+    size = max(1, _BLOCK_NODES // (config.rows * config.cols))
+    if workers > 1:
+        # about four blocks per worker and p, so the workers stay busy
+        size = min(size, max(1, config.replicates // (4 * workers)))
+    blocks = [
+        (p, p_index, range(start, min(start + size, config.replicates)))
+        for p_index, p in enumerate(config.p_values)
+        for start in range(0, config.replicates, size)
+    ]
+    args = (itertools.repeat(config), *zip(*blocks))
     if workers <= 1:
-        chunks = map(_run_block, blocks)
+        chunks = map(_route_block, *args)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_block, blocks))
-    results = [r for chunk in chunks for r in chunk]
-    results.sort(key=lambda r: (r.p_index, r.replicate_index))
-    return results
+            chunks = list(pool.map(_route_block, *args))
+    return [r for chunk in chunks for r in chunk]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .topology import (
-    Direction,
     FailureScenario,
     NodeId,
     TorusTopology,
@@ -43,50 +42,38 @@ class PotentialField:
         return self.table[self.topology.node_index(node)]
 
 
-@dataclass(frozen=True)
-class RoutingTable:
-    """Table egress per node: the first direction in N, E, S, W order whose
-    neighbor sits one potential step closer to dest. None at dest itself."""
-
-    topology: TorusTopology
-    dest: NodeId
-    egress: tuple
-
-    def at(self, node: NodeId):
-        return self.egress[self.topology.node_index(node)]
-
-
 @functools.lru_cache(maxsize=None)
-def _base_grids(rows: int, cols: int):
-    """Read-only (rows, cols) potential and egress arrays for destination
-    index 0. A node's minimal signed offsets (dr, dc) from the destination,
-    as in signed_offsets, give potential |dr| + |dc|; its egress is the
-    first port in N, E, S, W order whose neighbor lies one step closer, -1
-    at the destination."""
+def _base_grid(rows: int, cols: int):
+    """Read-only (rows, cols) potential of destination index 0: the hop
+    distance min(r, rows - r) + min(c, cols - c) of node (r, c), the one
+    closed form of the torus metric."""
     r, c = np.arange(rows), np.arange(cols)
-    dr = np.where(2 * r > rows, r - rows, r)[:, None]
-    dc = np.where(2 * c > cols, c - cols, c)[None, :]
-    phi = np.abs(dr) + np.abs(dc)
-    nxt = np.select(
-        [dr > 0, (dc < 0) | (2 * dc == cols), dr < 0, dc > 0],
-        [Direction.N, Direction.E, Direction.S, Direction.W],
-        -1,
-    )
-    phi.flags.writeable = nxt.flags.writeable = False
-    return phi, nxt
+    phi = np.minimum(r, rows - r)[:, None] + np.minimum(c, cols - c)[None, :]
+    phi.flags.writeable = False
+    return phi
 
 
 @functools.lru_cache(maxsize=None)
 def _base_arrays(rows: int, cols: int):
-    """Flat read-only potential, egress and one-hop-down arrays for
-    destination index 0, indexed by a node's index relative to the
-    destination (_relative_index). `down[v]` is the relative index of v's
-    table neighbor, 0 at the destination."""
-    phi, nxt = (grid.ravel() for grid in _base_grids(rows, cols))
-    down = _neighbor_indices(rows, cols)[np.arange(rows * cols), nxt]
+    """Flat read-only arrays for destination index 0, indexed by a node's
+    index relative to the destination (_relative_index): the potential
+    `phi`; the table egress `nxt`, the first port in N, E, S, W order
+    whose neighbor lies one step closer, -1 at the destination; `down`,
+    the relative index of the table neighbor, 0 at the destination; `desc`,
+    with bit d set when port d lowers the potential; and `table_bit`, the
+    egress as a one-bit port mask, 0 at the destination."""
+    phi = _base_grid(rows, cols).ravel()
+    nbr = _neighbor_indices(rows, cols)
+    lower = phi[nbr] < phi[:, None]  # adjacent potentials differ by one
+    desc = lower.astype(np.intp) @ (1 << np.arange(4))
+    table_bit = desc & -desc  # the table port is the first descending one
+    nxt = lower.argmax(axis=1)
+    nxt[0] = -1
+    down = nbr[np.arange(rows * cols), nxt]
     down[0] = 0
-    down.flags.writeable = False
-    return phi, nxt, down
+    for table in (nxt, down, desc, table_bit):
+        table.flags.writeable = False
+    return phi, nxt, down, desc, table_bit
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,40 +89,11 @@ def _relative_index(rows: int, cols: int, v, dest):
     return (v // cols - dest // cols) % rows * cols + (v - dest) % cols
 
 
-def _dest_frame(topo: TorusTopology, dest: NodeId, grid) -> list:
-    """A base grid moved into node-index order for one destination."""
-    shift = divmod(topo.node_index(dest), topo.cols)
-    return np.roll(grid, shift, axis=(0, 1)).ravel().tolist()
-
-
 def compute_potential(topo: TorusTopology, dest: NodeId) -> PotentialField:
-    phi = _base_grids(topo.rows, topo.cols)[0]
-    return PotentialField(topo, tuple(dest), tuple(_dest_frame(topo, dest, phi)))
-
-
-def routing_table(topo: TorusTopology, dest: NodeId) -> RoutingTable:
-    nxt = _base_grids(topo.rows, topo.cols)[1]
-    egress = tuple(
-        Direction(d) if d >= 0 else None for d in _dest_frame(topo, dest, nxt)
-    )
-    return RoutingTable(topo, tuple(dest), egress)
-
-
-def is_forward_edge(potential: PotentialField, u: NodeId, v: NodeId) -> bool:
-    """True when hopping u -> v strictly lowers the potential."""
-    return potential.at(v) < potential.at(u)
-
-
-def signed_offsets(topo: TorusTopology, dest: NodeId, v: NodeId) -> tuple[int, int]:
-    """Minimal signed (row, col) offsets of v relative to dest, each in the
-    half-open range (-dim/2, dim/2]."""
-    dr = (v[0] - dest[0]) % topo.rows
-    dc = (v[1] - dest[1]) % topo.cols
-    if 2 * dr > topo.rows:
-        dr -= topo.rows
-    if 2 * dc > topo.cols:
-        dc -= topo.cols
-    return dr, dc
+    """The base potential moved into node-index order for one destination."""
+    shift = divmod(topo.node_index(dest), topo.cols)
+    phi = np.roll(_base_grid(topo.rows, topo.cols), shift, axis=(0, 1))
+    return PotentialField(topo, tuple(dest), tuple(phi.ravel().tolist()))
 
 
 def forward_reachable_set(scenario: FailureScenario, dest: NodeId) -> frozenset[NodeId]:

@@ -39,18 +39,6 @@ _CLOCKWISE = (1, 2, 3, 0)
 _COUNTERCW = (3, 0, 1, 2)
 
 
-def opposite(d: Direction) -> Direction:
-    return Direction(_OPPOSITE[d])
-
-
-def clockwise(d: Direction) -> Direction:
-    return Direction(_CLOCKWISE[d])
-
-
-def counterclockwise(d: Direction) -> Direction:
-    return Direction(_COUNTERCW[d])
-
-
 class FailureMode(Enum):
     BOND = "bond"
     SITE = "site"
@@ -117,32 +105,13 @@ def neighbor(topo: TorusTopology, node: NodeId, d: Direction) -> NodeId:
     return topo.node_at(nbr[4 * topo.node_index(node) + d])
 
 
-def neighbors(topo: TorusTopology, node: NodeId) -> tuple[NodeId, ...]:
-    """All four neighbors in N, E, S, W order."""
-    return tuple(neighbor(topo, node, d) for d in DIRECTIONS)
-
-
-def torus_distance(topo: TorusTopology, a: NodeId, b: NodeId) -> int:
-    """Minimal hop count between a and b."""
-    topo.node_index(a)
-    topo.node_index(b)
-    dr = abs(a[0] - b[0])
-    dc = abs(a[1] - b[1])
-    return min(dr, topo.rows - dr) + min(dc, topo.cols - dc)
-
-
 def canonical_link(topo: TorusTopology, node: NodeId, d: Direction) -> LinkId:
     """Canonical id of the undirected link at node's port d: the endpoint
     with the smaller index, plus the direction from it to the other end."""
     other = neighbor(topo, node, d)
     if topo.node_index(node) <= topo.node_index(other):
         return (node, Direction(d))
-    return (other, opposite(d))
-
-
-def link_endpoints(topo: TorusTopology, link: LinkId) -> tuple[NodeId, NodeId]:
-    node, d = link
-    return node, neighbor(topo, node, d)
+    return (other, Direction(_OPPOSITE[d]))
 
 
 _EAST_SOUTH = (Direction.E, Direction.S)
@@ -297,26 +266,12 @@ def from_failures(
     for node, d in links:
         d = Direction(d)
         if d == Direction.N or d == Direction.W:
-            node, d = neighbor(topo, node, d), opposite(d)
+            node, d = neighbor(topo, node, d), _OPPOSITE[d]
         dead[0 if d == Direction.E else 1, topo.node_index(node)] = True
     for node in nodes:
         dead[2, topo.node_index(node)] = True
     bits = _scenario_bytes(topo, *dead)
     return FailureScenario(topo, mode, p, seed, *bits)
-
-
-def from_failed_links(
-    topo: TorusTopology, links, p: float = 0.0, seed: int = 0
-) -> FailureScenario:
-    """Explicit bond scenario from an iterable of (node, direction) links."""
-    return from_failures(topo, links=links, p=p, seed=seed)
-
-
-def from_failed_nodes(
-    topo: TorusTopology, nodes, p: float = 0.0, seed: int = 0
-) -> FailureScenario:
-    """Explicit site scenario; induces failure of every incident link."""
-    return from_failures(topo, nodes=nodes, mode=FailureMode.SITE, p=p, seed=seed)
 
 
 def _check_p(p: float):
@@ -330,10 +285,6 @@ def is_node_alive(scenario: FailureScenario, node: NodeId) -> bool:
 
 def is_link_alive(scenario: FailureScenario, node: NodeId, d: Direction) -> bool:
     return bool(scenario._port_mask[scenario.topology.node_index(node)] >> d & 1)
-
-
-def alive_degree(scenario: FailureScenario, node: NodeId) -> int:
-    return scenario._port_mask[scenario.topology.node_index(node)].bit_count()
 
 
 def largest_component_fraction(scenario: FailureScenario) -> float:

@@ -56,11 +56,7 @@ from torusflow.forwarding import (
     route_packet,
 )
 from torusflow.montecarlo import ExperimentConfig, replicate_inputs, run_sweep
-from torusflow.potential import (
-    compute_potential,
-    forward_reachable_set,
-    routing_table,
-)
+from torusflow.potential import compute_potential, forward_reachable_set
 from torusflow.topology import (
     DIRECTIONS,
     Direction,
@@ -69,14 +65,10 @@ from torusflow.topology import (
     build_torus,
     canonical_link,
     diameter,
-    from_failed_links,
-    from_failed_nodes,
     from_failures,
     is_link_alive,
     is_node_alive,
-    link_endpoints,
     neighbor,
-    torus_distance,
 )
 
 ALL_METHODS = (Method.NF, Method.LFA, Method.RF_CF, Method.RF_LF)
@@ -209,7 +201,7 @@ def single_failure_bounds(rows, cols, p):
     topo = build_torus(rows, cols)
     engine = default_engine_config(topo)
     dst = (0, 0)
-    table = routing_table(topo, dst)
+    intact = ref.Net(rows, cols)
     sources = [(r, c) for r in range(rows) for c in range(cols) if (r, c) != dst]
     nf_loss = 0.0
     floor = dict.fromkeys(RF_METHODS, 0.0)
@@ -220,13 +212,13 @@ def single_failure_bounds(rows, cols, p):
         path = []
         at = src
         while at != dst:
-            d = table.at(at)
+            d = Direction[ref.table_egress(intact, at, dst)]
             path.append(canonical_link(topo, at, d))
             at = neighbor(topo, at, d)
-        nf_loss += 1.0 - (1.0 - p) ** torus_distance(topo, src, dst)
+        nf_loss += 1.0 - (1.0 - p) ** ref.hop_distance(rows, cols, src, dst)
         for f in path:
-            scenario = from_failed_links(topo, [f])
-            net = ref.Net(rows, cols, [link_endpoints(topo, f)])
+            scenario = from_failures(topo, links=[f])
+            net = ref.Net(rows, cols, [(f[0], neighbor(topo, *f))])
             for method in RF_METHODS:
                 out = route_packet(scenario, method, src, dst, engine)
                 want = ref.run(net, method.value, src, dst, engine.sst, engine.ttl)
@@ -322,8 +314,8 @@ def test_criterion_02_single_failure_forward_reachability():
     for rows, cols in ((4, 4), (6, 6)):
         topo = build_torus(rows, cols)
         nodes = [(r, c) for r in range(rows) for c in range(cols)]
-        scenarios = [from_failed_links(topo, [link]) for link in all_links(topo)]
-        scenarios += [from_failed_nodes(topo, [v]) for v in nodes]
+        scenarios = [from_failures(topo, links=[link]) for link in all_links(topo)]
+        scenarios += [from_failures(topo, nodes=[v]) for v in nodes]
         for scenario in scenarios:
             for dest in nodes:
                 if not is_node_alive(scenario, dest):
@@ -338,7 +330,7 @@ def test_criterion_02_single_failure_forward_reachability():
 
     # the documented one-link hole: (1, 0) loses its only descending edge
     topo4 = build_torus(4, 4)
-    hole = from_failed_links(topo4, [((1, 0), Direction.N)])
+    hole = from_failures(topo4, links=[((1, 0), Direction.N)])
     hole_ok = (1, 0) not in forward_reachable_set(hole, (0, 0))
 
     ok = missing == 0 and hole_ok
@@ -589,7 +581,7 @@ def test_criterion_10_oracle_equivalence():
                 failed.add(canonical_link(topo, v, d))
         scenario = from_failures(topo, links=failed, nodes=dead_nodes)
         net = ref.Net(
-            4, 4, [link_endpoints(topo, link) for link in failed], dead_nodes
+            4, 4, [(v, neighbor(topo, v, d)) for v, d in failed], dead_nodes
         )
         alive = [v for v in nodes if v not in dead_nodes]
         for src in alive:

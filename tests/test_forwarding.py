@@ -19,7 +19,7 @@ from torusflow.forwarding import (
     default_engine_config,
     route_packet,
 )
-from torusflow.potential import compute_potential, routing_table
+from torusflow.potential import compute_potential
 from torusflow.topology import (
     Direction,
     FailureMode,
@@ -27,11 +27,9 @@ from torusflow.topology import (
     apply_bond_failures,
     apply_site_failures,
     build_torus,
-    from_failed_links,
-    from_failed_nodes,
+    from_failures,
     is_node_alive,
-    link_endpoints,
-    torus_distance,
+    neighbor,
 )
 
 N, E, S, W = Direction.N, Direction.E, Direction.S, Direction.W
@@ -83,18 +81,18 @@ def test_default_engine_config_scales_with_diameter():
 def test_step_nf_and_lfa():
     topo = build_torus(4, 4)
     dest = (0, 0)
-    table = routing_table(topo, dest)
+    net = ref.Net(4, 4)
 
     intact = apply_bond_failures(topo, 0.0, seed=0)
     for method in (Method.NF, Method.LFA):
         out = route_packet(intact, method, (2, 3), dest)
-        assert out.trace[0].direction is table.at((2, 3))
+        assert out.trace[0].direction.name == ref.table_egress(net, (2, 3), dest)
         with pytest.raises(ValueError):
             route_packet(intact, method, dest, dest)
 
     # (0, 2) descends through E or W; kill E and LFA falls back to W
-    broken = from_failed_links(topo, [((0, 2), E)])
-    assert table.at((0, 2)) is E
+    broken = from_failures(topo, links=[((0, 2), E)])
+    assert ref.table_egress(net, (0, 2), dest) == "E"
     nf = route_packet(broken, Method.NF, (0, 2), dest)
     assert nf.verdict is Verdict.DROPPED_NO_EGRESS
     assert nf.total_hops == 0
@@ -106,7 +104,7 @@ def test_step_nf_and_lfa():
     ]
 
     # (0, 1) descends only through W; kill it and both drop
-    cut = from_failed_links(topo, [((0, 1), W)])
+    cut = from_failures(topo, links=[((0, 1), W)])
     for method in (Method.NF, Method.LFA):
         out = route_packet(cut, method, (0, 1), dest)
         assert out.verdict is Verdict.DROPPED_NO_EGRESS
@@ -137,7 +135,7 @@ def test_egress_table_matches_reference_on_every_state():
             4, 4,
             dead_links=[(at, ref.move(4, 4, at, ref.PORT_ORDER[d])) for d in dead],
         )
-        scenario = from_failed_links(topo, [(at, d) for d in dead])
+        scenario = from_failures(topo, links=[(at, d) for d in dead])
         assert egress_args(scenario, at) == mask
         for r in range(4):
             port = ref.PORT_ORDER[r]
@@ -161,25 +159,25 @@ def test_rf_generate_branches():
     cf, lf = 0, 1
 
     # three alive ports: opposite for counter-facing, clockwise for lateral
-    no_ref = egress_args(from_failed_links(topo, [(at, N)]), at)
+    no_ref = egress_args(from_failures(topo, links=[(at, N)]), at)
     assert egress(no_ref, N, cf) == S
     assert egress(no_ref, N, lf) == E
-    no_e = egress_args(from_failed_links(topo, [(at, E)]), at)
+    no_e = egress_args(from_failures(topo, links=[(at, E)]), at)
     assert egress(no_e, E, cf) == W
     assert egress(no_e, E, lf) == S
 
     # exactly two alive ports: only the opposite of the reference counts
-    two_opp = egress_args(from_failed_links(topo, [(at, N), (at, E)]), at)
+    two_opp = egress_args(from_failures(topo, links=[(at, N), (at, E)]), at)
     assert egress(two_opp, N, cf) == S
     assert egress(two_opp, N, lf) == S
-    two_side = egress_args(from_failed_links(topo, [(at, N), (at, S)]), at)
+    two_side = egress_args(from_failures(topo, links=[(at, N), (at, S)]), at)
     assert egress(two_side, N, cf) == -1
     assert egress(two_side, N, lf) == -1
 
     # one or zero alive ports: always drop
-    one = egress_args(from_failed_links(topo, [(at, N), (at, E), (at, S)]), at)
+    one = egress_args(from_failures(topo, links=[(at, N), (at, E), (at, S)]), at)
     assert egress(one, N, cf) == -1
-    none = egress_args(from_failed_links(topo, [(at, d) for d in (N, E, S, W)]), at)
+    none = egress_args(from_failures(topo, links=[(at, d) for d in (N, E, S, W)]), at)
     assert egress(none, N, lf) == -1
 
 
@@ -194,22 +192,22 @@ def test_rf_relay_branches_and_bounce():
     assert egress(intact, N, lf) == E
 
     # three alive, first choice dead: the policy order moves on
-    no_opp = egress_args(from_failed_links(topo, [(at, S)]), at)
+    no_opp = egress_args(from_failures(topo, links=[(at, S)]), at)
     assert egress(no_opp, N, cf) == E
-    no_cw = egress_args(from_failed_links(topo, [(at, E)]), at)
+    no_cw = egress_args(from_failures(topo, links=[(at, E)]), at)
     assert egress(no_cw, N, lf) == W
 
     # two alive with the opposite port up
-    two_opp = egress_args(from_failed_links(topo, [(at, E), (at, W)]), at)
+    two_opp = egress_args(from_failures(topo, links=[(at, E), (at, W)]), at)
     assert egress(two_opp, N, cf) == S
 
     # two alive, opposite down: bounce back out of the ingress
-    two_side = egress_args(from_failed_links(topo, [(at, E), (at, S)]), at)
+    two_side = egress_args(from_failures(topo, links=[(at, E), (at, S)]), at)
     assert egress(two_side, N, cf) == N
     assert egress(two_side, N, lf) == N
 
     # only the ingress left
-    one = egress_args(from_failed_links(topo, [(at, E), (at, S), (at, W)]), at)
+    one = egress_args(from_failures(topo, links=[(at, E), (at, S), (at, W)]), at)
     assert egress(one, N, lf) == N
 
 
@@ -221,7 +219,7 @@ def test_route_packet_validates_endpoints():
     intact = apply_bond_failures(topo, 0.0, seed=0)
     with pytest.raises(ValueError):
         route_packet(intact, Method.NF, (1, 1), (1, 1))
-    dead = from_failed_nodes(topo, [(2, 2)])
+    dead = from_failures(topo, nodes=[(2, 2)])
     with pytest.raises(ValueError):
         route_packet(dead, Method.NF, (2, 2), (0, 0))
     with pytest.raises(ValueError):
@@ -236,7 +234,7 @@ def test_fault_free_routes_are_shortest_for_every_method():
         for dst in nodes:
             if src == dst:
                 continue
-            want = torus_distance(topo, src, dst)
+            want = ref.hop_distance(4, 4, src, dst)
             for method in ALL_METHODS:
                 out = route_packet(intact, method, src, dst)
                 assert out.verdict is Verdict.DELIVERED
@@ -250,7 +248,7 @@ def test_dead_primary_frozen_traces():
     """src (0, 1), dst (0, 0), the joining link dead. NF and LFA drop on the
     spot; both reverse-flow strategies detour in three hops."""
     topo = build_torus(4, 4)
-    scen = from_failed_links(topo, [((0, 1), W)])
+    scen = from_failures(topo, links=[((0, 1), W)])
     src, dst = (0, 1), (0, 0)
 
     for method in (Method.NF, Method.LFA):
@@ -286,7 +284,7 @@ def test_unreachable_forward_node_frozen_traces():
     """src (1, 0) has no all-forward path to (0, 0) once their link dies,
     yet both reverse-flow strategies still deliver around it."""
     topo = build_torus(4, 4)
-    scen = from_failed_links(topo, [((1, 0), N)])
+    scen = from_failures(topo, links=[((1, 0), N)])
     src, dst = (1, 0), (0, 0)
 
     for method in (Method.NF, Method.LFA):
@@ -313,7 +311,7 @@ def test_annihilation_without_reverse_hop():
     """A generated detour can still descend the potential when the table
     egress had a tie; the packet annihilates without a single reverse hop."""
     topo = build_torus(4, 4)
-    scen = from_failed_links(topo, [((0, 2), E)])
+    scen = from_failures(topo, links=[((0, 2), E)])
     out = route_packet(scen, Method.RF_CF, (0, 2), (0, 0))
     assert out.verdict is Verdict.DELIVERED
     assert hop_tuples(out) == [
@@ -347,7 +345,7 @@ def test_ttl_exhaustion_frozen():
 
 def test_record_trace_off_keeps_counters():
     topo = build_torus(4, 4)
-    scen = from_failed_links(topo, [((0, 1), W)])
+    scen = from_failures(topo, links=[((0, 1), W)])
     full = route_packet(scen, Method.RF_LF, (0, 1), (0, 0), record_trace=True)
     bare = route_packet(scen, Method.RF_LF, (0, 1), (0, 0), record_trace=False)
     assert bare.trace == ()
@@ -465,7 +463,7 @@ def test_policy_switch_changes_outcomes_somewhere():
 def to_ref_net(scenario):
     topo = scenario.topology
     dead_links = [
-        link_endpoints(topo, link) for link in scenario.failed_links
+        (v, neighbor(topo, v, d)) for v, d in scenario.failed_links
     ]
     return ref.Net(topo.rows, topo.cols, dead_links, scenario.failed_nodes)
 
@@ -581,7 +579,7 @@ def test_rf_cf_single_dead_node_loop_cut_is_exact():
     switch counter; sst 1 and 2 switch and deliver. Every ttl residue
     modulo the period must give the untraced route the traced counters."""
     topo = build_torus(8, 8)
-    scen = from_failed_nodes(topo, [(0, 1)])
+    scen = from_failures(topo, nodes=[(0, 1)])
     src, dst = (1, 1), (0, 0)
     for sst in (1, 2, 3):
         for ttl in range(256, 268):
@@ -625,9 +623,9 @@ def test_single_failure_reachability():
         topo = build_torus(rows, cols)
         cfg = default_engine_config(topo)
         n = topo.num_nodes
-        scenarios = [(from_failed_links(topo, [lk]), None) for lk in all_links(topo)]
+        scenarios = [(from_failures(topo, links=[lk]), None) for lk in all_links(topo)]
         scenarios += [
-            (from_failed_nodes(topo, [topo.node_at(v)]), v) for v in range(1, n)
+            (from_failures(topo, nodes=[topo.node_at(v)]), v) for v in range(1, n)
         ]
         lost = Counter()
         for scen, dead in scenarios:
@@ -675,7 +673,7 @@ def test_pair_failure_certificate():
         lost = Counter()
         mismatches = []
         for dead in itertools.combinations(all_links(topo), 2):
-            scen = from_failed_links(topo, dead)
+            scen = from_failures(topo, links=dead)
             net = None
             routes = _route_pairs(scen, pairs, methods, cfg.sst, cfg.ttl, False)
             for (src, _), outs in zip(pairs, routes):

@@ -8,7 +8,7 @@ from torusflow.montecarlo import (
     _BLOCK_NODES,
     ExperimentConfig,
     MethodTally,
-    _run_block,
+    _route_block,
     replicate_inputs,
     run_replicate,
     run_sweep,
@@ -18,8 +18,7 @@ from torusflow.topology import (
     FailureMode,
     build_torus,
     is_connected_pair,
-    link_endpoints,
-    torus_distance,
+    neighbor,
 )
 
 ALL_METHODS = (Method.NF, Method.LFA, Method.RF_CF, Method.RF_LF)
@@ -112,9 +111,8 @@ def test_replicate_inputs_are_reproducible_alive_pairs():
 def test_fault_free_replicate_counts():
     cfg = small_config(p_values=(0.0,), packets_per_replicate=40)
     res = run_replicate(cfg, 0.0, 0, 0)
-    topo = build_torus(4, 4)
     _, pairs = replicate_inputs(cfg, 0.0, 0, 0)
-    dists = [torus_distance(topo, s, t) for s, t in pairs]
+    dists = [ref.hop_distance(4, 4, s, t) for s, t in pairs]
     assert res.largest_cc_fraction == 1.0
     assert res.structurally_unreachable_pairs == 0
     for method in ALL_METHODS:
@@ -173,7 +171,7 @@ def test_replicate_tallies_match_reference_interpreter():
             scen, pairs = replicate_inputs(cfg, p, p_index, rep)
             net = ref.Net(
                 4, 4,
-                [link_endpoints(topo, link) for link in scen.failed_links],
+                [(v, neighbor(topo, v, d)) for v, d in scen.failed_links],
                 scen.failed_nodes,
             )
             res = run_replicate(cfg, p, p_index, rep)
@@ -277,13 +275,14 @@ def test_results_do_not_depend_on_block_boundaries(overrides):
     replicates with fewer than two alive nodes into routed ones, and when
     the ttl stops the shared table-path walk. A block of all 40 holds more
     than 255 tally cells, and on 64x64 more nodes than one routed block
-    stacks."""
+    stacks, so there run_sweep cuts the cell by its node budget, and must
+    still give the same results at one and at two workers."""
     cfg = small_config(replicates=40, **overrides)
     p = cfg.p_values[0]
     alone = [run_replicate(cfg, p, 0, rep) for rep in range(cfg.replicates)]
     for size in (1, 7, cfg.replicates):
         blocks = [
-            _run_block((cfg, p, 0, start, min(start + size, cfg.replicates)))
+            _route_block(cfg, p, 0, range(start, min(start + size, cfg.replicates)))
             for start in range(0, cfg.replicates, size)
         ]
         assert [r for block in blocks for r in block] == alone, size
@@ -299,6 +298,8 @@ def test_results_do_not_depend_on_block_boundaries(overrides):
         assert sum(r.tallies[Method.NF].dropped_ttl for r in alone) > 0
     if cfg.rows == 64:
         assert cfg.replicates * cfg.rows * cfg.cols > _BLOCK_NODES
+        for workers in (1, 2):
+            assert run_sweep(cfg, workers=workers) == alone, workers
 
 
 def test_replicate_tallies_match_reference_at_edge_engine_configs():
@@ -321,7 +322,7 @@ def test_replicate_tallies_match_reference_at_edge_engine_configs():
                     scen, pairs = replicate_inputs(cfg, p, 0, rep)
                     net = ref.Net(
                         rows, cols,
-                        [link_endpoints(topo, link) for link in scen.failed_links],
+                        [(v, neighbor(topo, v, d)) for v, d in scen.failed_links],
                         scen.failed_nodes,
                     )
                     res = run_replicate(cfg, p, 0, rep)
