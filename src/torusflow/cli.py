@@ -17,6 +17,9 @@ import os
 import sys
 import tempfile
 import time
+from itertools import chain
+
+import numpy as np
 
 from . import __version__
 from .analysis import AggregateMetrics, aggregate_sweep
@@ -263,37 +266,49 @@ def emit_plot_data(metrics, config: ExperimentConfig, figure: str, path: str,
 
 def emit_traces(config: ExperimentConfig, path: str):
     """One csv line per hop of every packet, replayable from the config.
-    The file is written one replicate at a time."""
+    The file is written one replicate at a time, each line joined from
+    text tables keyed by hop code (see forwarding._descend) and by
+    4 * relative index + port."""
     engine = config.resolved_engine()
     rows, cols = config.rows, config.cols
     phi = _base_tables(rows, cols)[0]
     nbr = _neighbor_table(rows, cols)
     labels = [f"{r}:{c}" for r in range(rows) for c in range(cols)]
-    directions = tuple(d.name for d in Direction)
-    kinds = tuple(k.value for k in HopKind)
+    names = [m.name for m in config.methods]
+    hop_text = np.array([  # from,to,dir,kind, in hop code order
+        f"{labels[a]},{labels[nbr[4 * a + d]]},{d.name},{kind.value},"
+        for a in range(rows * cols) for d in Direction for kind in HopKind
+    ], dtype=object)
+    phi_text = np.array([  # phi_from,phi_to
+        f"{phi[i >> 2]},{phi[nbr[i]]}\n" for i in range(4 * rows * cols)
+    ], dtype=object)
+    index_text = np.array([], dtype=object)
     with _atomic_open(path) as out:
         out.write("packet,method,hop,from,to,dir,kind,phi_from,phi_to\n")
         for p_index, p in enumerate(config.p_values):
             for rep in range(config.replicates):
                 scenario, srcs, dsts = _replicate_setup(config, p, p_index, rep)
                 pairs = list(zip(srcs.tolist(), dsts.tolist()))
-                lines = []
-                routes_per_pair = _route_pairs(
-                    scenario, pairs, config.methods, engine.sst, engine.ttl, True
-                )
-                for k, ((src, dst), routes) in enumerate(zip(pairs, routes_per_pair)):
-                    rel_src = _relative_index(rows, cols, src, dst)
-                    for method, (_, _, _, trace, _) in zip(config.methods, routes):
-                        head = f"p{p_index}.r{rep}.{k},{method.name}"
-                        ra = rel_src
-                        for i, (a, b, d, kind) in enumerate(trace):
-                            rb = nbr[4 * ra + d]
-                            lines.append(
-                                f"{head},{i},{labels[a]},{labels[b]},{directions[d]},"
-                                f"{kinds[kind]},{phi[ra]},{phi[rb]}\n"
-                            )
-                            ra = rb
-                out.write("".join(lines))
+                routes = _route_pairs(scenario, pairs, config.methods, engine.sst,
+                                      engine.ttl, True)
+                traces = [route[3] for by_method in routes for route in by_method]
+                lengths = np.fromiter(map(len, traces), np.intp, len(traces))
+                total = int(lengths.sum())
+                codes = np.fromiter(chain.from_iterable(traces), np.intp, total)
+                step = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+                top = int(lengths.max(initial=0))
+                if top > index_text.size:
+                    index_text = np.array([f"{i}," for i in range(top)], dtype=object)
+                dst = np.repeat(np.repeat(dsts, len(names)), lengths)
+                rel = _relative_index(rows, cols, codes >> 3, dst)
+                heads = np.array([f"p{p_index}.r{rep}.{k},{name},"
+                                  for k in range(len(pairs)) for name in names],
+                                 dtype=object)
+                # a row of four text references per hop; no string per line
+                cells = np.stack([np.repeat(heads, lengths), index_text[step],
+                                  hop_text[codes], phi_text[4 * rel + (codes >> 1 & 3)]],
+                                 axis=1)
+                out.write("".join(cells.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,10 @@ _EGRESS = tuple(_egress(m, r, p) for m in range(16) for r in range(4) for p in r
 # which ports, neighbors, traces and loop keys use, and `rel` its index
 # relative to the destination, which the base tables use (see
 # potential._base_tables); a port leads to the same direction in both
-# frames. Verdict codes 0=delivered 1=no_egress 2=ttl; `trace` is the hop
-# list to append to, or None
+# frames. Verdict codes 0=delivered 1=no_egress 2=ttl; `trace` is the list
+# of hop codes to append to, or None: a hop from node index `at` out of
+# port d is the int at << 3 | d << 1 | kind, kind 1 for a reverse hop, so
+# code >> 1 is the neighbor table's index 4 * at + d
 
 # lowest set bit of a 4-bit port mask, -1 for none
 _FIRST_PORT = tuple((m & -m).bit_length() - 1 for m in range(16))
@@ -159,10 +161,9 @@ def _descend(ports, nbr, allowed, at: int, rel: int, hops: int, ttl: int, trace)
         d = _FIRST_PORT[ports[at] & allowed[rel]]
         if d < 0:
             return 1, at, rel, hops
-        b = nbr[4 * at + d]
         if trace is not None:
-            trace.append((at, b, d, 0))
-        at = b
+            trace.append(at << 3 | d << 1)
+        at = nbr[4 * at + d]
         rel = nbr[4 * rel + d]
         hops += 1
     return 0, at, rel, hops
@@ -172,20 +173,22 @@ def _route_rf(
     ports, nbr, nxt, desc,
     at: int, rel: int, hops: int, policy: int, sst: int, ttl: int, trace,
 ):
-    """Reverse flow from a normal-mode state. Without a trace, Brent's cycle
-    detection runs over generations and policy switches, keyed by (node,
-    policy): a generation needs the table port dead and a switch needs it
-    alive as the ingress, so the node fixes which event it is and the key
-    fixes the rest of the route. Every cycle holds an event, since normal
-    mode strictly descends and an endless reverse run must switch. A
-    repeat skips whole periods."""
+    """Reverse flow from a normal-mode state. Brent's cycle detection runs
+    over generations and policy switches, keyed by (node, policy): a
+    generation needs the table port dead and a switch needs it alive as the
+    ingress, so the node fixes which event it is and the key fixes the rest
+    of the route. Every cycle holds an event, since normal mode strictly
+    descends and an endless reverse run must switch. A repeat skips whole
+    periods, traced or not: a trace and its annihilation points are filled
+    by copying the period's entries."""
     record = trace is not None
     ingress = -1
     reverse_mode = False
     h_event = 0  # hops since the reverse flow began or last reset
     rev_hops = 0
     annih = [] if record else None
-    saved, saved_hops, saved_rev, power, lam = -1, 0, 0, 1, 1  # Brent state
+    # Brent state: the saved key, its hop, reverse hop and annihilation counts
+    saved, saved_hops, saved_rev, saved_ann, power, lam = -1, 0, 0, 0, 1, 1
     while True:
         if rel == 0:
             return 0, hops, rev_hops, trace, annih
@@ -213,28 +216,31 @@ def _route_rf(
                 reverse_mode = True
                 h_event = 1
         # h_event is 1 right after a generation or a switch, and only then
-        if h_event == 1 and not record:
+        if h_event == 1:
             key = 2 * at + policy
             if key == saved:
                 # the current hop is still taken, hence ttl - 1
                 period = hops - saved_hops
                 q = (ttl - 1 - hops) // period
+                if record:
+                    trace += trace[saved_hops:] * q  # len(trace) == hops
+                    annih += annih[saved_ann:] * q
                 rev_hops += q * (rev_hops - saved_rev)
                 hops += q * period
             elif lam == power:
                 saved, saved_hops, saved_rev = key, hops, rev_hops
+                saved_ann = len(annih) if record else 0
                 power, lam = 2 * power, 0
             lam += 1
-        b = nbr[4 * at + d]
         if desc[rel] >> d & 1:
             if record:
-                trace.append((at, b, d, 0))
+                trace.append(at << 3 | d << 1)
         else:
             rev_hops += 1
             if record:
-                trace.append((at, b, d, 1))
+                trace.append(at << 3 | d << 1 | 1)
         ingress = _OPP[d]
-        at = b
+        at = nbr[4 * at + d]
         rel = nbr[4 * rel + d]
         hops += 1
 
@@ -342,10 +348,12 @@ def route_packet(
     )[0]
     records = ()
     if trace:
-        records = tuple(
-            HopRecord(topo.node_at(a), topo.node_at(b), DIRECTIONS[d], _KINDS[kind])
-            for a, b, d, kind in trace
-        )
+        nbr, node_at = _neighbor_table(topo.rows, topo.cols), topo.node_at
+        hop = {  # one record per distinct code; a looping trace repeats its codes
+            c: HopRecord(node_at(c >> 3), node_at(nbr[c >> 1]), DIRECTIONS[c >> 1 & 3],
+                         _KINDS[c & 1]) for c in set(trace)
+        }
+        records = tuple(map(hop.__getitem__, trace))
     return PacketOutcome(
         verdict=_VERDICTS[code],
         trace=records,

@@ -12,6 +12,7 @@ from torusflow.cli import (
     REGIMES,
     config_from_manifest,
     emit_plot_data,
+    emit_traces,
     fmt_real,
     log_spaced,
     main,
@@ -20,8 +21,9 @@ from torusflow.cli import (
     run_experiment,
     write_manifest,
 )
-from torusflow.forwarding import EngineConfig, Method
-from torusflow.montecarlo import ExperimentConfig
+from torusflow.forwarding import EngineConfig, Method, Verdict, route_packet
+from torusflow.montecarlo import ExperimentConfig, replicate_inputs
+from torusflow.potential import _base_grid
 from torusflow.topology import FailureMode
 
 
@@ -249,6 +251,57 @@ def test_trace_dump_is_replayable(tmp_path):
             assert d in ("N", "E", "S", "W")
             assert kind == ("forward" if phi_to < phi_from else "reverse")
             assert abs(phi_to - phi_from) <= 1
+
+
+def render_trace_lines(config):
+    """traces.csv rendered independently of emit_traces: hop records from
+    route_packet, potentials read off the closed-form grid in the
+    destination's frame. Also returns how many RF routes ran to the ttl."""
+    rows, cols = config.rows, config.cols
+    grid = _base_grid(rows, cols)
+    engine = config.resolved_engine()
+    lines = ["packet,method,hop,from,to,dir,kind,phi_from,phi_to\n"]
+    looped = 0
+    for p_index, p in enumerate(config.p_values):
+        for rep in range(config.replicates):
+            scenario, pairs = replicate_inputs(config, p, p_index, rep)
+            for k, (src, dst) in enumerate(pairs):
+                for method in config.methods:
+                    out = route_packet(scenario, method, src, dst, engine)
+                    looped += method.name.startswith("RF") and (
+                        out.verdict is Verdict.DROPPED_TTL
+                    )
+                    assert len(out.trace) == out.total_hops
+                    for i, hop in enumerate(out.trace):
+                        phi = [
+                            grid[(r - dst[0]) % rows, (c - dst[1]) % cols]
+                            for r, c in (hop.from_node, hop.to_node)
+                        ]
+                        lines.append(
+                            f"p{p_index}.r{rep}.{k},{method.name},{i},"
+                            f"{hop.from_node[0]}:{hop.from_node[1]},"
+                            f"{hop.to_node[0]}:{hop.to_node[1]},"
+                            f"{hop.direction.name},{hop.kind.value},{phi[0]},{phi[1]}\n"
+                        )
+    return "".join(lines), looped
+
+
+@pytest.mark.parametrize("rows, cols, p_values, sst", [
+    (8, 8, (0.2, 0.3), 3),  # has RF routes that loop to the ttl
+    (5, 7, (0.1, 0.3), None),  # rows != cols catches transposed tables
+])
+def test_trace_dump_matches_independent_rendering(tmp_path, rows, cols, p_values, sst):
+    config = micro_config(rows=rows, cols=cols, p_values=p_values, replicates=3,
+                          packets_per_replicate=10, master_seed=11)
+    if sst is not None:
+        dflt = config.resolved_engine()
+        config = dataclasses.replace(config, engine=EngineConfig(sst=sst, ttl=dflt.ttl))
+    path = tmp_path / "traces.csv"
+    emit_traces(config, str(path))
+    want, looped = render_trace_lines(config)
+    assert path.read_text() == want
+    if sst is not None:
+        assert looped > 0
 
 
 def test_main_end_to_end(tmp_path, capsys):

@@ -468,19 +468,23 @@ def to_ref_net(scenario):
     return ref.Net(topo.rows, topo.cols, dead_links, scenario.failed_nodes)
 
 
+def assert_outcome_matches(mine, want, where):
+    """Verdict, counters, annihilation points and the trace hop for hop:
+    the reference steps every hop of a loop that the engine copies."""
+    assert mine.verdict.value == want["verdict"], where
+    assert mine.total_hops == want["hops"], where
+    assert mine.reverse_hops == want["reverse_hops"], where
+    assert list(mine.annihilation_points) == want["annihilations"], where
+    hops = [(h.from_node, h.to_node, h.direction.name, h.kind.value) for h in mine.trace]
+    assert hops == want["trace"], where
+
+
 def assert_outcomes_match(scenario, cfg, src, dst):
     net = to_ref_net(scenario)
     for method in ALL_METHODS:
         mine = route_packet(scenario, method, src, dst, cfg)
         want = ref.run(net, method.value, src, dst, cfg.sst, cfg.ttl)
-        assert mine.verdict.value == want["verdict"], (method, src, dst)
-        assert mine.total_hops == want["hops"], (method, src, dst)
-        assert mine.reverse_hops == want["reverse_hops"], (method, src, dst)
-        assert list(mine.annihilation_points) == want["annihilations"], (
-            method,
-            src,
-            dst,
-        )
+        assert_outcome_matches(mine, want, (method, src, dst))
 
 
 def test_matches_reference_on_random_bond_scenarios():
@@ -576,18 +580,23 @@ def test_prefix_property_against_reference():
 def test_rf_cf_single_dead_node_loop_cut_is_exact():
     """8x8, destination (0,0), dead node (0,1), source (1,1): RF_CF cycles
     with period 12 once sst >= 3, two generations per cycle restarting the
-    switch counter; sst 1 and 2 switch and deliver. Every ttl residue
-    modulo the period must give the untraced route the traced counters."""
+    switch counter; sst 1 and 2 switch and deliver. For every ttl residue
+    modulo the period, the traced route (its trace and annihilation points
+    filled by copying the period) and the untraced one (counters only)
+    must equal the reference interpreter, which steps every hop."""
     topo = build_torus(8, 8)
     scen = from_failures(topo, nodes=[(0, 1)])
+    net = to_ref_net(scen)
     src, dst = (1, 1), (0, 0)
     for sst in (1, 2, 3):
         for ttl in range(256, 268):
             cfg = EngineConfig(sst=sst, ttl=ttl)
+            want = ref.run(net, "RF_CF", src, dst, sst, ttl)
             full = route_packet(scen, Method.RF_CF, src, dst, cfg)
+            assert_outcome_matches(full, want, (sst, ttl))
             bare = route_packet(scen, Method.RF_CF, src, dst, cfg, record_trace=False)
-            assert (bare.verdict, bare.total_hops, bare.reverse_hops) == (
-                full.verdict, full.total_hops, full.reverse_hops
+            assert (bare.verdict.value, bare.total_hops, bare.reverse_hops) == (
+                want["verdict"], want["hops"], want["reverse_hops"]
             ), (sst, ttl)
             if sst < 3:
                 assert full.verdict is Verdict.DELIVERED
