@@ -43,8 +43,9 @@ def aggregate(
     if not rows:
         raise ValueError(f"no replicates at p={p}")
     n_packets = sum(r.n_packets for r in rows)
-    delivered = sum(r.tallies[method].delivered for r in rows)
-    lost = sum(r.tallies[method].lost for r in rows)
+    tallies = [r.tallies[method] for r in rows]
+    delivered = sum(t.delivered for t in tallies)
+    lost = sum(t.lost for t in tallies)
     loss_rate = lost / n_packets
 
     if Method.NF in rows[0].tallies:
@@ -54,16 +55,14 @@ def aggregate(
         improvement = math.nan
 
     max_samples = [
-        r.tallies[method].max_hops_delivered
-        for r in rows
-        if r.tallies[method].max_hops_delivered is not None
+        t.max_hops_delivered for t in tallies if t.max_hops_delivered is not None
     ]
     max_hops_mean = sum(max_samples) / len(max_samples) if max_samples else None
     max_hops_max = max(max_samples) if max_samples else None
 
-    with_reverse = sum(r.tallies[method].delivered_with_reverse for r in rows)
-    hops_total = sum(r.tallies[method].total_hops_delivered for r in rows)
-    rev_total = sum(r.tallies[method].reverse_hops_delivered for r in rows)
+    with_reverse = sum(t.delivered_with_reverse for t in tallies)
+    hops_total = sum(t.total_hops_delivered for t in tallies)
+    rev_total = sum(t.reverse_hops_delivered for t in tallies)
     rf_packet_ratio = with_reverse / delivered if delivered else 0.0
     rf_hops_ratio = rev_total / hops_total if hops_total else 0.0
 

@@ -30,7 +30,7 @@ from .forwarding import (
     _route_pairs,
     default_engine_config,
 )
-from .montecarlo import ExperimentConfig, _replicate_setup, run_sweep
+from .montecarlo import ExperimentConfig, _block_inputs, run_sweep
 from .potential import _base_tables, _relative_index
 from .topology import Direction, FailureMode, _neighbor_table, build_torus
 
@@ -266,9 +266,9 @@ def emit_plot_data(metrics, config: ExperimentConfig, figure: str, path: str,
 
 def emit_traces(config: ExperimentConfig, path: str):
     """One csv line per hop of every packet, replayable from the config.
-    The file is written one replicate at a time, each line joined from
-    text tables keyed by hop code (see forwarding._descend) and by
-    4 * relative index + port."""
+    The inputs are drawn one block per p, and the file is written one
+    replicate at a time, each line joined from text tables keyed by hop
+    code (see forwarding._descend) and by 4 * relative index + port."""
     engine = config.resolved_engine()
     rows, cols = config.rows, config.cols
     phi = _base_tables(rows, cols)[0]
@@ -286,11 +286,15 @@ def emit_traces(config: ExperimentConfig, path: str):
     with _atomic_open(path) as out:
         out.write("packet,method,hop,from,to,dir,kind,phi_from,phi_to\n")
         for p_index, p in enumerate(config.p_values):
+            ports, _, block_rep, block_srcs, block_dsts, _ = _block_inputs(
+                config, p, p_index, range(config.replicates))
+            ends = np.searchsorted(block_rep, np.arange(config.replicates + 1)).tolist()
             for rep in range(config.replicates):
-                scenario, srcs, dsts = _replicate_setup(config, p, p_index, rep)
+                srcs = block_srcs[ends[rep]:ends[rep + 1]]
+                dsts = block_dsts[ends[rep]:ends[rep + 1]]
                 pairs = list(zip(srcs.tolist(), dsts.tolist()))
-                routes = _route_pairs(scenario, pairs, config.methods, engine.sst,
-                                      engine.ttl, True)
+                routes = _route_pairs(ports[rep].tobytes(), rows, cols, pairs,
+                                      config.methods, engine.sst, engine.ttl, True)
                 traces = [route[3] for by_method in routes for route in by_method]
                 lengths = np.fromiter(map(len, traces), np.intp, len(traces))
                 total = int(lengths.sum())

@@ -134,14 +134,16 @@ _EGRESS = tuple(_egress(m, r, p) for m in range(16) for r in range(4) for p in r
 
 
 # ---------------------------------------------------------------------------
-# per-strategy routing loops, in two frames at once: `at` is the node index,
-# which ports, neighbors, traces and loop keys use, and `rel` its index
-# relative to the destination, which the base tables use (see
+# routing loops, in two frames at once: `at` is the node index, which
+# ports, neighbors, traces and loop keys use, and `rel` its index relative
+# to the destination, which the base tables use (see
 # potential._base_tables); a port leads to the same direction in both
-# frames. Verdict codes 0=delivered 1=no_egress 2=ttl; `trace` is the list
-# of hop codes to append to, or None: a hop from node index `at` out of
-# port d is the int at << 3 | d << 1 | kind, kind 1 for a reverse hop, so
-# code >> 1 is the neighbor table's index 4 * at + d
+# frames. Every packet walks its table path (NF) first, and one _continue
+# loop per other method routes on every stop of a batch at a dead table
+# port. Verdict codes 0=delivered 1=no_egress 2=ttl; a trace is a list of
+# hop codes or None: a hop from node index `at` out of port d is the int
+# at << 3 | d << 1 | kind, kind 1 for a reverse hop, so code >> 1 is the
+# neighbor table's index 4 * at + d
 
 # lowest set bit of a 4-bit port mask, -1 for none
 _FIRST_PORT = tuple((m & -m).bit_length() - 1 for m in range(16))
@@ -169,122 +171,138 @@ def _descend(ports, nbr, allowed, at: int, rel: int, hops: int, ttl: int, trace)
     return 0, at, rel, hops
 
 
-def _route_rf(
-    ports, nbr, nxt, desc,
-    at: int, rel: int, hops: int, policy: int, sst: int, ttl: int, trace,
-):
-    """Reverse flow from a normal-mode state. Brent's cycle detection runs
-    over generations and policy switches, keyed by (node, policy): a
-    generation needs the table port dead and a switch needs it alive as the
-    ingress, so the node fixes which event it is and the key fixes the rest
-    of the route. Every cycle holds an event, since normal mode strictly
-    descends and an endless reverse run must switch. A repeat skips whole
-    periods, traced or not: a trace and its annihilation points are filled
-    by copying the period's entries."""
-    record = trace is not None
-    ingress = -1
-    reverse_mode = False
-    h_event = 0  # hops since the reverse flow began or last reset
-    rev_hops = 0
-    annih = [] if record else None
-    # Brent state: the saved key, its hop, reverse hop and annihilation counts
-    saved, saved_hops, saved_rev, saved_ann, power, lam = -1, 0, 0, 0, 1, 1
-    while True:
-        if rel == 0:
-            return 0, hops, rev_hops, trace, annih
-        if hops >= ttl:
-            return 2, hops, rev_hops, trace, annih
-        d = nxt[rel]
-        mask = ports[at]
-        if reverse_mode and d == ingress:
-            # still flowing against the table; oscillation guard first
-            if h_event > sst:
-                policy ^= 1
-                h_event = 0
-            d = _EGRESS[mask << 3 | d << 1 | policy]
-            h_event += 1
-        else:
-            if reverse_mode:
-                if record:
-                    annih.append(at)
-                reverse_mode = False
-                h_event = 0
-            if not mask >> d & 1:
-                d = _EGRESS[mask << 3 | d << 1 | policy]
-                if d < 0:
-                    return 1, hops, rev_hops, trace, annih
-                reverse_mode = True
-                h_event = 1
-        # h_event is 1 right after a generation or a switch, and only then
-        if h_event == 1:
-            key = 2 * at + policy
-            if key == saved:
-                # the current hop is still taken, hence ttl - 1
-                period = hops - saved_hops
-                q = (ttl - 1 - hops) // period
-                if record:
-                    trace += trace[saved_hops:] * q  # len(trace) == hops
-                    annih += annih[saved_ann:] * q
-                rev_hops += q * (rev_hops - saved_rev)
-                hops += q * period
-            elif lam == power:
-                saved, saved_hops, saved_rev = key, hops, rev_hops
-                saved_ann = len(annih) if record else 0
-                power, lam = 2 * power, 0
-            lam += 1
-        if desc[rel] >> d & 1:
-            if record:
-                trace.append(at << 3 | d << 1)
-        else:
-            rev_hops += 1
-            if record:
-                trace.append(at << 3 | d << 1 | 1)
-        ingress = _OPP[d]
-        at = nbr[4 * at + d]
-        rel = nbr[4 * rel + d]
-        hops += 1
+def _continue(method, stops, nbr, tables, sst: int, ttl: int, traces):
+    """Route on with `method`, LFA or reverse flow, from every NF-prefix
+    stop (port mask bytes, node, relative index, hops) at a dead table
+    port. Returns lists of codes, hops and reverse hops, one entry per
+    stop, and with `traces`, one trace list per stop holding its prefix,
+    which the route extends, the stops' annihilation point lists (None for
+    LFA or untraced).
 
-
-def _route_on(
-    method, ports, nbr, tables, at: int, rel: int, hops: int, sst: int, ttl: int, trace
-):
-    """Continue a packet with a method other than NF from the dead table
-    port where its NF prefix stopped; returns (code, hops, reverse hops,
-    trace, annihilation points)."""
-    nxt, desc = tables[1], tables[3]
+    Reverse flow alternates a normal-mode loop, which follows the table
+    while its port is up, with a reverse-mode loop from a generation at a
+    dead table port to the annihilation where the table egress differs
+    from the ingress again. Brent's cycle detection runs over generations
+    and policy switches, keyed by (node, policy): a generation needs the
+    table port dead and a switch needs it alive as the ingress, so the node
+    fixes which event it is and the key fixes the rest of the route. Every
+    cycle holds an event, since normal mode strictly descends and an
+    endless reverse run must switch. A repeat skips whole periods, traced
+    or not, copying the period's trace and annihilation entries."""
+    nxt, down, desc = tables[1], tables[2], tables[3]
+    record = traces is not None
+    codes, hop_counts, rev_counts, annihs = [], [], [], []
     if method is Method.LFA:
-        code, _, _, hops = _descend(ports, nbr, desc, at, rel, hops, ttl, trace)
-        return code, hops, 0, trace, None
-    policy = 0 if method is Method.RF_CF else 1
-    return _route_rf(ports, nbr, nxt, desc, at, rel, hops, policy, sst, ttl, trace)
+        for i, (ports, at, rel, hops) in enumerate(stops):
+            code, _, _, hops = _descend(
+                ports, nbr, desc, at, rel, hops, ttl, traces[i] if record else None
+            )
+            codes.append(code)
+            hop_counts.append(hops)
+        return codes, hop_counts, [0] * len(stops), None
+    start_policy = 0 if method is Method.RF_CF else 1
+    for i, (ports, at, rel, hops) in enumerate(stops):
+        trace = traces[i] if record else None
+        annih = [] if record else None
+        policy, rev_hops = start_policy, 0
+        # Brent state: the saved key, its hop, reverse hop and annihilation counts
+        saved, saved_hops, saved_rev, saved_ann, power, lam = -1, 0, 0, 0, 1, 1
+        while True:
+            while rel and hops < ttl:  # normal mode
+                d = nxt[rel]
+                if not ports[at] >> d & 1:
+                    break
+                if record:
+                    trace.append(at << 3 | d << 1)
+                at = nbr[4 * at + d]
+                rel = down[rel]
+                hops += 1
+            else:
+                code = 2 if rel else 0
+                break
+            d = _EGRESS[ports[at] << 3 | d << 1 | policy]  # generation
+            if d < 0:
+                code = 1
+                break
+            h_event = 1  # hops since the reverse flow began or last reset
+            while True:  # reverse mode
+                if h_event == 1:
+                    key = 2 * at + policy
+                    if key == saved:
+                        # the current hop is still taken, hence ttl - 1
+                        period = hops - saved_hops
+                        q = (ttl - 1 - hops) // period
+                        if record:
+                            trace += trace[saved_hops:] * q  # len(trace) == hops
+                            annih += annih[saved_ann:] * q
+                        rev_hops += q * (rev_hops - saved_rev)
+                        hops += q * period
+                    elif lam == power:
+                        saved, saved_hops, saved_rev = key, hops, rev_hops
+                        saved_ann = len(annih) if record else 0
+                        power, lam = 2 * power, 0
+                    lam += 1
+                if desc[rel] >> d & 1:
+                    if record:
+                        trace.append(at << 3 | d << 1)
+                else:
+                    rev_hops += 1
+                    if record:
+                        trace.append(at << 3 | d << 1 | 1)
+                ingress = _OPP[d]
+                at = nbr[4 * at + d]
+                rel = nbr[4 * rel + d]
+                hops += 1
+                if not rel or hops >= ttl:
+                    break
+                d = nxt[rel]
+                if d != ingress:
+                    if record:
+                        annih.append(at)
+                    break
+                # still flowing against the table; oscillation guard first
+                if h_event > sst:
+                    policy ^= 1
+                    h_event = 0
+                d = _EGRESS[ports[at] << 3 | d << 1 | policy]
+                h_event += 1
+        codes.append(code)
+        hop_counts.append(hops)
+        rev_counts.append(rev_hops)
+        annihs.append(annih)
+    return codes, hop_counts, rev_counts, annihs if record else None
 
 
-def _route_pairs(scenario: FailureScenario, pairs, methods, sst: int, ttl: int, record):
-    """Route one packet per (src, dst) node index pair with each of
-    `methods`, yielding per pair one (code, hops, reverse hops, trace,
-    annihilation points) per method. Until the first dead table port every
-    method takes NF's hops, so that prefix is walked once and each other
-    method continues from its stop; with `record` each continuation extends
-    its own copy of the prefix trace. Without it trace and annihilation
-    points are None."""
-    rows, cols = scenario.topology.rows, scenario.topology.cols
-    ports = scenario._port_mask
+def _route_pairs(ports, rows: int, cols: int, pairs, methods, sst: int, ttl: int, record):
+    """Route one packet per (src, dst) node index pair over the port mask
+    bytes `ports` with each of `methods`; returns per pair a list of one
+    (code, hops, reverse hops, trace, annihilation points) per method.
+    Until the first dead table port every method takes NF's hops, so that
+    prefix is walked once per pair, and one _continue call per other
+    method routes on from every pair's stop; with `record` each
+    continuation extends its own copy of the prefix trace. Without it
+    trace and annihilation points are None."""
     nbr = _neighbor_table(rows, cols)
     tables = _base_tables(rows, cols)
     table_bit = tables[4]
+    routes, stops, stopped = [], [], []
     for src, dst in pairs:
         trace = [] if record else None
         rel = _relative_index(rows, cols, src, dst)
         code, at, rel, hops = _descend(ports, nbr, table_bit, src, rel, 0, ttl, trace)
-        if code != 1:
-            yield [(code, hops, 0, trace, None)] * len(methods)
+        if code == 1:
+            stopped.append(len(routes))
+            stops.append((ports, at, rel, hops))
+        routes.append([(code, hops, 0, trace, None)] * len(methods))
+    for mi, method in enumerate(methods):
+        if method is Method.NF or not stops:
             continue
-        yield [
-            (code, hops, 0, trace, None) if method is Method.NF
-            else _route_on(method, ports, nbr, tables, at, rel, hops, sst, ttl,
-                           trace[:] if record else None)
-            for method in methods
-        ]
+        traces = [routes[k][mi][3][:] for k in stopped] if record else None
+        codes, hops, revs, annihs = _continue(method, stops, nbr, tables, sst, ttl, traces)
+        for j, k in enumerate(stopped):
+            routes[k][mi] = (codes[j], hops[j], revs[j], traces and traces[j],
+                             annihs and annihs[j])
+    return routes
 
 
 def _route_nf_stack(ports, base, at, rel, rows: int, cols: int, ttl: int):
@@ -343,9 +361,10 @@ def route_packet(
         raise ValueError("src and dst must both be alive")
     cfg = config if config is not None else default_engine_config(topo)
     pair = (topo.node_index(src), topo.node_index(dst))
-    code, hops, rev_hops, trace, annih = next(
-        _route_pairs(scenario, [pair], (method,), cfg.sst, cfg.ttl, record_trace)
-    )[0]
+    code, hops, rev_hops, trace, annih = _route_pairs(
+        scenario._port_mask, topo.rows, topo.cols, [pair], (method,), cfg.sst, cfg.ttl,
+        record_trace,
+    )[0][0]
     records = ()
     if trace:
         nbr, node_at = _neighbor_table(topo.rows, topo.cols), topo.node_at

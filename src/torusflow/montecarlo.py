@@ -7,11 +7,13 @@ keyed by (p_index, replicate_index) and seeded independently of execution
 order, which makes sweeps reproducible and safe to parallelize.
 
 Replicates of one p are routed a block at a time. Each replicate draws its
-scenario and pairs from its own seeds; the block stacks their port masks,
-labels the components of every scenario in one pass over the stack, walks
-every packet's table path in lockstep with numpy, routes on one at a time
-only the packets stopped at a dead table port, and tallies every replicate
-with bincounts over the replicate index. A block stacks at most
+scenario and pairs from two generators seeded from its own cell key, and
+the block turns all of those draws into stacked port masks and node
+indices in one pass (_block_inputs). It labels the components of every
+scenario in one pass over the stack, walks every packet's table path in
+lockstep with numpy, routes on the packets stopped at a dead table port
+with one scalar continuation loop per method, and tallies every
+replicate with bincounts over the replicate index. A block stacks at most
 _BLOCK_NODES nodes, so memory stays bounded on large tori, and no result
 depends on where blocks split.
 """
@@ -26,19 +28,18 @@ import numpy as np
 from .forwarding import (
     EngineConfig,
     Method,
+    _continue,
     _route_nf_stack,
-    _route_on,
     default_engine_config,
 )
 from .potential import _base_tables, _relative_index
 from .topology import (
     FailureMode,
     FailureScenario,
+    _draw_bytes,
     _largest_component_fractions,
     _neighbor_table,
     _stack_labels,
-    apply_bond_failures,
-    apply_site_failures,
     build_torus,
 )
 
@@ -128,40 +129,42 @@ class ReplicateResult:
     structurally_unreachable_pairs: int
 
 
-def _sample_pair_indices(scenario: FailureScenario, traffic_seed: int, packets: int):
-    """Uniform src and dst node index arrays over alive nodes, src != dst,
-    empty when fewer than two nodes are alive. Both endpoint batches are
-    drawn first, then repeated collisions are redrawn in packet order; the
-    generator sequence fixes the result."""
-    alive = np.flatnonzero(np.frombuffer(scenario._node_bits, dtype=np.uint8))
-    if alive.size < 2:
-        return alive[:0], alive[:0]
-    rng = np.random.default_rng(traffic_seed)
-    srcs = alive[rng.integers(0, alive.size, size=packets)]
-    dsts = alive[rng.integers(0, alive.size, size=packets)]
-    for k in np.flatnonzero(srcs == dsts).tolist():
-        while dsts[k] == srcs[k]:
-            dsts[k] = alive[rng.integers(0, alive.size)]
-    return srcs, dsts
-
-
-def _replicate_setup(
-    config: ExperimentConfig, p: float, p_index: int, replicate_index: int
-):
-    """Scenario and src and dst node index arrays of one replicate, each
-    drawn from its own seed derived from the cell key. No pairs when fewer
-    than two nodes are alive."""
-    rep_seed = seed_for(config.master_seed, p_index, replicate_index)
+def _block_inputs(config: ExperimentConfig, p: float, p_index: int, replicate_indices):
+    """Scenarios and pairs of the given replicates of one p. Each replicate
+    seeds two generators from its cell key. The scenario generator makes
+    the failure draw (topology._draw_bytes). The traffic generator draws
+    uniform src and dst batches over the alive nodes, both batches first,
+    then redraws each src == dst collision in packet order until the
+    endpoints differ; it draws nothing when fewer than two nodes are alive,
+    and that replicate gets no pairs. Returns the (B, n) port mask and node
+    byte arrays, each packet's position in the block and its src and dst
+    node indices, in replicate then pair order, and the scenario seeds."""
     topo = build_torus(config.rows, config.cols)
-    if config.mode is FailureMode.BOND:
-        draw = apply_bond_failures
-    else:
-        draw = apply_site_failures
-    scenario = draw(topo, p, _mix64(rep_seed ^ _SCENARIO_SALT))
-    srcs, dsts = _sample_pair_indices(
-        scenario, _mix64(rep_seed ^ _TRAFFIC_SALT), config.packets_per_replicate
-    )
-    return scenario, srcs, dsts
+    n, packets = topo.num_nodes, config.packets_per_replicate
+    seeds = [seed_for(config.master_seed, p_index, ri) for ri in replicate_indices]
+    scenario_seeds = [_mix64(seed ^ _SCENARIO_SALT) for seed in seeds]
+    ports, alive = _draw_bytes(topo, config.mode, p, scenario_seeds)
+    sizes = alive.sum(axis=1).tolist()
+    first = np.cumsum([0, *sizes])  # each replicate's start in `nodes`
+    nodes = np.flatnonzero(alive)  # stack index of every alive node
+    rngs = {
+        b: np.random.default_rng(_mix64(seed ^ _TRAFFIC_SALT))
+        for b, (seed, size) in enumerate(zip(seeds, sizes)) if size >= 2
+    }
+    # per replicate with pairs, its src batch, then its dst batch, drawn in
+    # one call, which yields the same numbers as one call per batch
+    draws = np.array(
+        [rng.integers(0, sizes[b], size=2 * packets) for b, rng in rngs.items()],
+        dtype=np.intp,
+    ).reshape(-1, 2, packets)
+    rep = np.repeat(np.fromiter(rngs, np.intp, len(rngs)), packets)
+    srcs = nodes[first[rep] + draws[:, 0].ravel()]
+    dsts = nodes[first[rep] + draws[:, 1].ravel()]
+    for k in np.flatnonzero(srcs == dsts).tolist():
+        b = int(rep[k])
+        while dsts[k] == srcs[k]:
+            dsts[k] = nodes[first[b] + rngs[b].integers(0, sizes[b])]
+    return ports, alive, rep, srcs - rep * n, dsts - rep * n, scenario_seeds
 
 
 def replicate_inputs(
@@ -169,8 +172,14 @@ def replicate_inputs(
 ):
     """The exact scenario and (src, dst) pairs a replicate routes, for trace
     dumps and for re-deriving tallies with independent code."""
-    scenario, srcs, dsts = _replicate_setup(config, p, p_index, replicate_index)
-    node_at = scenario.topology.node_at
+    ports, alive, _, srcs, dsts, seeds = _block_inputs(
+        config, p, p_index, [replicate_index]
+    )
+    topo = build_torus(config.rows, config.cols)
+    scenario = FailureScenario(
+        topo, config.mode, p, seeds[0], ports.tobytes(), alive.tobytes()
+    )
+    node_at = topo.node_at
     return scenario, [
         (node_at(s), node_at(t)) for s, t in zip(srcs.tolist(), dsts.tolist())
     ]
@@ -188,17 +197,12 @@ def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_ind
     module docstring describes."""
     rows, cols = config.rows, config.cols
     n = rows * cols
-    setups = [_replicate_setup(config, p, p_index, ri) for ri in replicate_indices]
-    count = len(setups)
-    ports = np.frombuffer(b"".join(s._port_mask for s, _, _ in setups), np.uint8)
-    alive = np.frombuffer(b"".join(s._node_bits for s, _, _ in setups), np.uint8)
-    labels = _stack_labels(rows, cols, ports, alive)
+    count = len(replicate_indices)
+    ports, alive, rep, srcs, dsts, _ = _block_inputs(config, p, p_index, replicate_indices)
+    labels = _stack_labels(rows, cols, ports.ravel(), alive.ravel())
     cc_fraction = _largest_component_fractions(labels, n)
 
     # one entry per packet of the block, in replicate then pair order
-    rep = np.repeat(np.arange(count), [srcs.size for _, srcs, _ in setups])
-    srcs = np.concatenate([srcs for _, srcs, _ in setups])
-    dsts = np.concatenate([dsts for _, _, dsts in setups])
     base = rep * n
     split = labels[base + srcs] != labels[base + dsts]
     unreachable = np.bincount(rep[split], minlength=count).tolist()
@@ -206,39 +210,36 @@ def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_ind
     engine = config.resolved_engine()
     rel = _relative_index(rows, cols, srcs, dsts)
     code, at, rel, hops = _route_nf_stack(
-        ports, base, srcs, rel, rows, cols, engine.ttl
+        ports.ravel(), base, srcs, rel, rows, cols, engine.ttl
     )
     # row mi holds method mi's verdict codes, hops and reverse hops; every
     # method shares the table-path prefix, and only packets stopped at a
-    # dead table port route on, one at a time
+    # dead table port route on, one continuation loop per method
     methods = config.methods
     codes = np.tile(code, (len(methods), 1))
     hop_counts = np.tile(hops.astype(np.int64), (len(methods), 1))
     rev = np.zeros_like(hop_counts)
     stopped = np.flatnonzero(code == 1)
-    masks = [scenario._port_mask for scenario, _, _ in setups]
-    stops = [
-        (masks[r], a, rl, h)
-        for r, a, rl, h in zip(*(x[stopped].tolist() for x in (rep, at, rel, hops)))
-    ]
-    if stops:
+    if stopped.size:
+        masks = [row.tobytes() for row in ports]
+        stops = [
+            (masks[r], a, rl, h)
+            for r, a, rl, h in zip(*(x[stopped].tolist() for x in (rep, at, rel, hops)))
+        ]
         nbr = _neighbor_table(rows, cols)
         tables = _base_tables(rows, cols)
         for mi, method in enumerate(methods):
-            if method is Method.NF:
-                continue
-            routes = [
-                _route_on(method, mask, nbr, tables, a, rl, h, engine.sst, engine.ttl,
-                          None)[:3]
-                for mask, a, rl, h in stops
-            ]
-            codes[mi, stopped], hop_counts[mi, stopped], rev[mi, stopped] = zip(*routes)
+            if method is not Method.NF:
+                codes[mi, stopped], hop_counts[mi, stopped], rev[mi, stopped] = _continue(
+                    method, stops, nbr, tables, engine.sst, engine.ttl, None
+                )[:3]
 
     tallies = _cell_tallies(count, rep, codes, hop_counts, rev)
     packets = config.packets_per_replicate
     results = []
+    paired = np.bincount(rep, minlength=count).tolist()
     for b, ri in enumerate(replicate_indices):
-        if setups[b][1].size:
+        if paired[b]:
             by_method = {m: tallies[mi * count + b] for mi, m in enumerate(methods)}
         else:
             # not enough survivors to form a pair; every notional packet is

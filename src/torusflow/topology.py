@@ -216,39 +216,53 @@ def _stack_labels(rows: int, cols: int, port_mask, node_bits) -> np.ndarray:
 
 
 def _scenario_bytes(topo: TorusTopology, dead_e, dead_s, dead_nodes):
-    """Port mask and node bytes from boolean arrays over node indices that
-    mark dead E ports, dead S ports and dead nodes. A dead node takes down
-    its own four ports and the facing port of each neighbor."""
+    """Port mask and node bytes of a batch of scenarios, as (B, n) uint8
+    arrays, from (B, n) boolean arrays over node indices that mark dead E
+    ports, dead S ports and dead nodes. A dead node takes down its own four
+    ports and the facing port of each neighbor."""
     nbr = _neighbor_indices(topo.rows, topo.cols)
-    up_e = ~(dead_e | dead_nodes | dead_nodes[nbr[:, Direction.E]])
-    up_s = ~(dead_s | dead_nodes | dead_nodes[nbr[:, Direction.S]])
+
+    def across(a, d):  # each scenario's entries at the neighbors across port d
+        return a.take(nbr[:, d], axis=1)
+
+    up_e = ~(dead_e | dead_nodes | across(dead_nodes, Direction.E))
+    up_s = ~(dead_s | dead_nodes | across(dead_nodes, Direction.S))
     up_e, up_s = up_e.view(np.uint8), up_s.view(np.uint8)
     # bit d is port d, in N, E, S, W order; a W port is its west neighbor's
     # E port, an N port its north neighbor's S
-    north, west = up_s[nbr[:, Direction.N]], up_e[nbr[:, Direction.W]]
+    north, west = across(up_s, Direction.N), across(up_e, Direction.W)
     mask = north | up_e << 1 | up_s << 2 | west << 3
-    return mask.tobytes(), (~dead_nodes).tobytes()
+    return mask, (~dead_nodes).view(np.uint8)
+
+
+def _draw_bytes(topo: TorusTopology, mode: FailureMode, p: float, seeds):
+    """_scenario_bytes of one failure draw per seed, row b from a generator
+    seeded with seeds[b]: one uniform per link in all_links order (bond) or
+    per node (site), and the link or node fails when its uniform is below p."""
+    _check_p(p)
+    n = topo.num_nodes
+    uniforms = np.empty((len(seeds), topo.num_links if mode is FailureMode.BOND else n))
+    for row, seed in zip(uniforms, seeds):
+        np.random.default_rng(seed).random(out=row)
+    dead = uniforms < p
+    if mode is FailureMode.BOND:
+        dead = dead.reshape(-1, n, 2)
+        return _scenario_bytes(topo, dead[..., 0], dead[..., 1], np.zeros_like(dead[..., 0]))
+    no_links = np.zeros_like(dead)
+    return _scenario_bytes(topo, no_links, no_links, dead)
 
 
 def apply_bond_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
     """Fail each link independently with probability p."""
-    _check_p(p)
-    rng = np.random.default_rng(seed)
-    dead = (rng.random(topo.num_links) < p).reshape(topo.num_nodes, 2)
-    no_nodes = np.zeros(topo.num_nodes, dtype=bool)
-    bits = _scenario_bytes(topo, dead[:, 0], dead[:, 1], no_nodes)
-    return FailureScenario(topo, FailureMode.BOND, p, seed, *bits)
+    mask, nodes = _draw_bytes(topo, FailureMode.BOND, p, [seed])
+    return FailureScenario(topo, FailureMode.BOND, p, seed, mask.tobytes(), nodes.tobytes())
 
 
 def apply_site_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
     """Fail each node independently with probability p; a dead node takes
     all four incident links with it."""
-    _check_p(p)
-    rng = np.random.default_rng(seed)
-    dead = rng.random(topo.num_nodes) < p
-    no_links = np.zeros_like(dead)
-    bits = _scenario_bytes(topo, no_links, no_links, dead)
-    return FailureScenario(topo, FailureMode.SITE, p, seed, *bits)
+    mask, nodes = _draw_bytes(topo, FailureMode.SITE, p, [seed])
+    return FailureScenario(topo, FailureMode.SITE, p, seed, mask.tobytes(), nodes.tobytes())
 
 
 def from_failures(
@@ -262,16 +276,16 @@ def from_failures(
     """Explicit scenario from iterables of dead (node, direction) links,
     named from either endpoint, and dead nodes. Raises ValueError for a node
     off the grid."""
-    dead = np.zeros((3, topo.num_nodes), dtype=bool)  # E ports, S ports, nodes
+    dead = np.zeros((3, 1, topo.num_nodes), dtype=bool)  # E ports, S ports, nodes
     for node, d in links:
         d = Direction(d)
         if d == Direction.N or d == Direction.W:
             node, d = neighbor(topo, node, d), _OPPOSITE[d]
-        dead[0 if d == Direction.E else 1, topo.node_index(node)] = True
+        dead[0 if d == Direction.E else 1, 0, topo.node_index(node)] = True
     for node in nodes:
-        dead[2, topo.node_index(node)] = True
-    bits = _scenario_bytes(topo, *dead)
-    return FailureScenario(topo, mode, p, seed, *bits)
+        dead[2, 0, topo.node_index(node)] = True
+    mask, node_bits = _scenario_bytes(topo, *dead)
+    return FailureScenario(topo, mode, p, seed, mask.tobytes(), node_bits.tobytes())
 
 
 def _check_p(p: float):

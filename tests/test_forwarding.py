@@ -15,11 +15,13 @@ from torusflow.forwarding import (
     Verdict,
     _EGRESS,
     _VERDICTS,
+    _continue,
+    _descend,
     _route_pairs,
     default_engine_config,
     route_packet,
 )
-from torusflow.potential import compute_potential
+from torusflow.potential import _base_tables, _relative_index, compute_potential
 from torusflow.topology import (
     Direction,
     FailureMode,
@@ -28,6 +30,7 @@ from torusflow.topology import (
     apply_site_failures,
     build_torus,
     from_failures,
+    _neighbor_table,
     is_node_alive,
     neighbor,
 )
@@ -574,6 +577,65 @@ def test_prefix_property_against_reference():
                         ), (method, src, dst, sst)
 
 
+def test_continue_batch_matches_reference():
+    """One _continue call per method and engine config routes on from the
+    NF-prefix stops of several bond and site scenarios at once, untraced
+    and with each trace seeded with its stop's prefix. Every stop must
+    equal the reference route from its pair's source, so no policy, loop
+    or trace state may leak from one stop into the next; the batch holds
+    ttl drops and dead ends among routes that deliver."""
+    rng = random.Random(1515)
+    methods = (Method.LFA, Method.RF_CF, Method.RF_LF)
+    for rows, cols in ((16, 16), (8, 8), (5, 7)):
+        topo = build_torus(rows, cols)
+        nbr = _neighbor_table(rows, cols)
+        tables = _base_tables(rows, cols)
+        dflt = default_engine_config(topo)
+        scenarios = [
+            draw(topo, p, seed=9700 + seed)
+            for seed in range(2)
+            for draw, p in ((apply_bond_failures, 0.2), (apply_site_failures, 0.15))
+        ]
+        pairs = [(scen, to_ref_net(scen), *pair)
+                 for scen in scenarios for pair in alive_pairs(scen, rng, 12)]
+
+        def hop(c):
+            return (topo.node_at(c >> 3), topo.node_at(nbr[c >> 1]),
+                    Direction(c >> 1 & 3).name, "reverse" if c & 1 else "forward")
+
+        for cfg in (dflt, EngineConfig(1, dflt.ttl), EngineConfig(2, 40),
+                    EngineConfig(3, 17)):
+            stops, prefixes, wants = [], [], {m: [] for m in methods}
+            for scen, net, src, dst in pairs:
+                s, t = topo.node_index(src), topo.node_index(dst)
+                prefix = []
+                code, at, rel, hops = _descend(
+                    scen._port_mask, nbr, tables[4], s, _relative_index(rows, cols, s, t),
+                    0, cfg.ttl, prefix,
+                )
+                if code != 1:
+                    continue
+                stops.append((scen._port_mask, at, rel, hops))
+                prefixes.append(prefix)
+                for m in methods:
+                    wants[m].append(ref.run(net, m.value, src, dst, cfg.sst, cfg.ttl))
+            seen = set()
+            for m in methods:
+                bare = _continue(m, stops, nbr, tables, cfg.sst, cfg.ttl, None)
+                traces = [prefix[:] for prefix in prefixes]
+                full = _continue(m, stops, nbr, tables, cfg.sst, cfg.ttl, traces)
+                assert bare[:3] == full[:3] and bare[3] is None, (rows, m, cfg)
+                annihs = full[3] or [[]] * len(stops)
+                for j, want in enumerate(wants[m]):
+                    where = (rows, cols, m, cfg, j)
+                    assert (_VERDICTS[bare[0][j]].value, bare[1][j], bare[2][j]) == (
+                        want["verdict"], want["hops"], want["reverse_hops"]), where
+                    assert list(map(hop, traces[j])) == want["trace"], where
+                    assert list(map(topo.node_at, annihs[j])) == want["annihilations"], where
+                seen.update(bare[0])
+            assert seen == {0, 1, 2}, (rows, cfg, seen)
+
+
 # ---------------------------------------------------------------------------
 # forwarding loops and single failures
 
@@ -643,9 +705,10 @@ def test_single_failure_reachability():
                 if src == dead:
                     continue
                 for method in (Method.RF_CF, Method.RF_LF):
-                    code = next(_route_pairs(
-                        scen, [(src, 0)], (method,), cfg.sst, cfg.ttl, False
-                    ))[0][0]
+                    code = _route_pairs(
+                        scen._port_mask, rows, cols, [(src, 0)], (method,), cfg.sst,
+                        cfg.ttl, False,
+                    )[0][0][0]
                     if code:
                         lost[kind, method, _VERDICTS[code]] += 1
         want = {("node", Method.RF_CF, Verdict.DROPPED_TTL): cf_lost}
@@ -684,7 +747,9 @@ def test_pair_failure_certificate():
         for dead in itertools.combinations(all_links(topo), 2):
             scen = from_failures(topo, links=dead)
             net = None
-            routes = _route_pairs(scen, pairs, methods, cfg.sst, cfg.ttl, False)
+            routes = _route_pairs(
+                scen._port_mask, rows, cols, pairs, methods, cfg.sst, cfg.ttl, False
+            )
             for (src, _), outs in zip(pairs, routes):
                 for method, (code, hops, rev_hops, _, _) in zip(methods, outs):
                     if not code:

@@ -1,13 +1,18 @@
 """Seeding, replicate execution and sweep orchestration."""
 
+import numpy as np
 import pytest
 
 import reference_engine as ref
 from torusflow.forwarding import EngineConfig, Method
 from torusflow.montecarlo import (
     _BLOCK_NODES,
+    _SCENARIO_SALT,
+    _TRAFFIC_SALT,
     ExperimentConfig,
     MethodTally,
+    _block_inputs,
+    _mix64,
     _route_block,
     replicate_inputs,
     run_replicate,
@@ -16,6 +21,8 @@ from torusflow.montecarlo import (
 )
 from torusflow.topology import (
     FailureMode,
+    apply_bond_failures,
+    apply_site_failures,
     build_torus,
     is_connected_pair,
     neighbor,
@@ -106,6 +113,69 @@ def test_replicate_inputs_are_reproducible_alive_pairs():
         assert src != dst
         assert src not in scen_a.failed_nodes
         assert dst not in scen_a.failed_nodes
+
+
+def documented_pairs(node_bits: bytes, traffic_seed: int, packets: int):
+    """The pair draw as documented, one replicate at a time: no draw when
+    fewer than two nodes are alive, else both endpoint batches drawn first
+    with the replicate's traffic generator, then every collision redrawn in
+    packet order. Also returns the number of redraws."""
+    alive = np.flatnonzero(np.frombuffer(node_bits, dtype=np.uint8)).tolist()
+    if len(alive) < 2:
+        return [], [], 0
+    rng = np.random.default_rng(traffic_seed)
+    srcs = [alive[i] for i in rng.integers(0, len(alive), size=packets)]
+    dsts = [alive[i] for i in rng.integers(0, len(alive), size=packets)]
+    redraws = 0
+    for k in range(packets):
+        while dsts[k] == srcs[k]:
+            dsts[k] = alive[rng.integers(0, len(alive))]
+            redraws += 1
+    return srcs, dsts, redraws
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(rows=16, cols=16, p_values=(0.05,)),
+        dict(rows=12, cols=10, mode=FailureMode.SITE, p_values=(0.15,)),
+        dict(rows=3, cols=3, mode=FailureMode.SITE, p_values=(0.5, 0.9, 1.0)),
+    ],
+    ids=["bond", "site", "site-3x3"],
+)
+def test_block_inputs_match_per_replicate_draw(overrides):
+    """_block_inputs draws a block's scenarios and pairs together, in blocks
+    of 1, of 7 or all; each replicate must get the bytes of its own failure
+    draw and the pairs of the documented per-replicate sampler. On 3x3
+    site, fewer than two nodes survive in some replicates and collisions
+    are redrawn in others."""
+    cfg = small_config(replicates=20, **overrides)
+    topo = build_torus(cfg.rows, cfg.cols)
+    draw = apply_bond_failures if cfg.mode is FailureMode.BOND else apply_site_failures
+    unpaired = redraws = 0
+    for p_index, p in enumerate(cfg.p_values):
+        for size in (1, 7, cfg.replicates):
+            for start in range(0, cfg.replicates, size):
+                block = range(start, min(start + size, cfg.replicates))
+                ports, alive, rep, srcs, dsts, seeds = _block_inputs(cfg, p, p_index, block)
+                for b, ri in enumerate(block):
+                    seed = seed_for(cfg.master_seed, p_index, ri)
+                    want = draw(topo, p, _mix64(seed ^ _SCENARIO_SALT))
+                    assert seeds[b] == want.seed
+                    assert ports[b].tobytes() == want._port_mask, (p, ri)
+                    assert alive[b].tobytes() == want._node_bits, (p, ri)
+                    want_srcs, want_dsts, redrawn = documented_pairs(
+                        want._node_bits, _mix64(seed ^ _TRAFFIC_SALT),
+                        cfg.packets_per_replicate,
+                    )
+                    mine = rep == b
+                    assert srcs[mine].tolist() == want_srcs, (p, ri, size)
+                    assert dsts[mine].tolist() == want_dsts, (p, ri, size)
+                    if size == 1:
+                        unpaired += not want_srcs
+                        redraws += redrawn
+    if cfg.rows == 3:
+        assert unpaired and redraws
 
 
 def test_fault_free_replicate_counts():
