@@ -23,11 +23,9 @@ from .montecarlo import (
     ExperimentConfig,
     MethodTally,
     ReplicateResult,
-    run_replicate,
     run_sweep,
     seed_for,
 )
-from .potential import PotentialField
 from .topology import (
     Direction,
     FailureMode,

@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
@@ -181,10 +182,14 @@ def fmt_real(x) -> str:
 @contextlib.contextmanager
 def _atomic_open(path: str):
     """Text handle on a temporary file beside path; the file replaces path
-    when the block completes and is deleted when it raises."""
+    when the block completes and is deleted when it raises. The file gets
+    the mode a plain open would give it, not mkstemp's 0600."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             yield handle
         os.replace(tmp, path)
@@ -199,69 +204,46 @@ def _atomic_write(path: str, text: str):
         handle.write(text)
 
 
-def _render_cell(name: str, value) -> str:
-    if value is None:
-        return ""
-    if name in ("method",):
+# columns written as integers: the torus shape and AggregateMetrics' int fields
+_INT_COLUMNS = {"rows", "cols"}.union(
+    f.name for f in fields(AggregateMetrics) if f.type.startswith("int")
+)
+
+
+def _text(value):
+    """A Method by name, a FailureMode by value, anything else as it is."""
+    if isinstance(value, Method):
         return value.name
-    if name in ("mode",):
-        return value.value
-    if name in ("rows", "cols", "n_replicates", "n_packets", "max_hops_max"):
-        return str(value)
-    return fmt_real(value)
+    return value.value if isinstance(value, FailureMode) else value
 
 
-def _metric_cells(m: AggregateMetrics, rows: int, cols: int) -> dict:
-    return {
-        "method": m.method,
-        "mode": m.mode,
-        "rows": rows,
-        "cols": cols,
-        "p": m.p,
-        "n_replicates": m.n_replicates,
-        "n_packets": m.n_packets,
-        "loss_rate": m.loss_rate,
-        "improvement_pts": m.improvement_pts,
-        "max_hops_mean": m.max_hops_mean,
-        "max_hops_max": m.max_hops_max,
-        "rf_packet_ratio": m.rf_packet_ratio,
-        "rf_hops_ratio": m.rf_hops_ratio,
-        "largest_cc_fraction_mean": m.largest_cc_fraction_mean,
-    }
-
-
-def _emit_table(path: str, columns, cells_per_row, fmt: str):
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        for cells in cells_per_row:
-            lines.append(",".join(_render_cell(c, cells[c]) for c in columns))
-        _atomic_write(path, "\n".join(lines) + "\n")
-    else:
-        records = []
-        for cells in cells_per_row:
-            rec = {}
-            for c in columns:
-                v = cells[c]
-                if isinstance(v, Method):
-                    v = v.name
-                elif isinstance(v, FailureMode):
-                    v = v.value
-                rec[c] = v
-            records.append(rec)
+def _emit_table(path: str, columns, metrics, config: ExperimentConfig, fmt: str):
+    """One row per AggregateMetrics, from its own fields and the torus
+    shape, projected on `columns`."""
+    cells = [{"rows": config.rows, "cols": config.cols, **vars(m)} for m in metrics]
+    records = [{c: _text(row[c]) for c in columns} for row in cells]
+    if fmt == "json":
         _atomic_write(path, json.dumps(records, indent=2) + "\n")
+        return
+    lines = [",".join(columns)]
+    for rec in records:
+        lines.append(",".join(
+            v if isinstance(v, str)
+            else str(v) if v is not None and c in _INT_COLUMNS else fmt_real(v)
+            for c, v in rec.items()
+        ))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def emit_aggregate(metrics, config: ExperimentConfig, path: str, fmt: str = "csv"):
-    rows = [_metric_cells(m, config.rows, config.cols) for m in metrics]
-    _emit_table(path, AGGREGATE_COLUMNS, rows, fmt)
+    _emit_table(path, AGGREGATE_COLUMNS, metrics, config, fmt)
 
 
 def emit_plot_data(metrics, config: ExperimentConfig, figure: str, path: str,
                    fmt: str = "csv"):
     if figure not in FIGURE_COLUMNS:
         raise ValueError(f"unknown figure {figure!r}")
-    rows = [_metric_cells(m, config.rows, config.cols) for m in metrics]
-    _emit_table(path, FIGURE_COLUMNS[figure], rows, fmt)
+    _emit_table(path, FIGURE_COLUMNS[figure], metrics, config, fmt)
 
 
 def emit_traces(config: ExperimentConfig, path: str):
@@ -336,22 +318,15 @@ def write_manifest(path: str, config: ExperimentConfig, options, outputs):
         ("master_seed", config.master_seed),
         ("format", options["format"]),
         ("workers", options["workers"]),
+        *outputs,
     ]
-    for name, out_path in outputs:
-        entries.append((name, out_path))
     _atomic_write(path, "\n".join(f"{k} = {v}" for k, v in entries) + "\n")
 
 
 def read_manifest(path: str) -> dict:
-    out = {}
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" = ")
-            out[key] = value
-    return out
+        entries = (line.strip().partition(" = ") for line in handle)
+        return {key: value for key, _, value in entries if key}
 
 
 def config_from_manifest(manifest: dict) -> ExperimentConfig:
@@ -397,9 +372,7 @@ def run_experiment(config: ExperimentConfig, options) -> dict:
 
     manifest_path = os.path.join(out_dir, "manifest.txt")
     write_manifest(manifest_path, config, options, outputs)
-    paths = {"manifest_path": manifest_path}
-    paths.update(dict(outputs))
-    return paths
+    return {"manifest_path": manifest_path, **dict(outputs)}
 
 
 def main(argv=None) -> int:

@@ -185,13 +185,6 @@ def replicate_inputs(
     ]
 
 
-def run_replicate(
-    config: ExperimentConfig, p: float, p_index: int, replicate_index: int
-) -> ReplicateResult:
-    """One replicate's result, routed as a block of one."""
-    return _route_block(config, p, p_index, [replicate_index])[0]
-
-
 def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_indices):
     """Results of the given replicates of one p, routed together as the
     module docstring describes."""

@@ -16,7 +16,6 @@ per destination.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +27,6 @@ from .topology import (
     _neighbor_table,
     is_node_alive,
 )
-
-
-@dataclass(frozen=True)
-class PotentialField:
-    """Hop distance to dest for every node, indexed by node index."""
-
-    topology: TorusTopology
-    dest: NodeId
-    table: tuple[int, ...]
-
-    def at(self, node: NodeId) -> int:
-        return self.table[self.topology.node_index(node)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,11 +76,12 @@ def _relative_index(rows: int, cols: int, v, dest):
     return (v // cols - dest // cols) % rows * cols + (v - dest) % cols
 
 
-def compute_potential(topo: TorusTopology, dest: NodeId) -> PotentialField:
-    """The base potential moved into node-index order for one destination."""
+def compute_potential(topo: TorusTopology, dest: NodeId) -> tuple[int, ...]:
+    """Hop distance to dest of every node, by node index: the base
+    potential rolled to dest. The engines read _base_tables instead."""
     shift = divmod(topo.node_index(dest), topo.cols)
     phi = np.roll(_base_grid(topo.rows, topo.cols), shift, axis=(0, 1))
-    return PotentialField(topo, tuple(dest), tuple(phi.ravel().tolist()))
+    return tuple(phi.ravel().tolist())
 
 
 def forward_reachable_set(scenario: FailureScenario, dest: NodeId) -> frozenset[NodeId]:

@@ -52,6 +52,8 @@ from torusflow.forwarding import (
     HopKind,
     Method,
     Verdict,
+    _VERDICTS,
+    _route_pairs,
     default_engine_config,
     route_packet,
 )
@@ -299,7 +301,7 @@ def test_criterion_01_fault_free_exactness():
                 routed += 1
                 if out.verdict is not Verdict.DELIVERED:
                     wrong += 1
-                elif out.total_hops != phi.at(src) or out.reverse_hops:
+                elif out.total_hops != phi[topo.node_index(src)] or out.reverse_hops:
                     wrong += 1
     ok = wrong == 0 and routed == 50 * 100 * len(ALL_METHODS)
     msg = verdict_line(1, "fault-free exactness", ok,
@@ -368,7 +370,8 @@ def test_criterion_03_annihilation_invariant():
                         if hop.kind is HopKind.REVERSE:
                             last_reverse = i
                     for hop in out.trace[last_reverse + 1:]:
-                        if phi.at(hop.to_node) >= phi.at(hop.from_node):
+                        to_phi = phi[topo.node_index(hop.to_node)]
+                        if to_phi >= phi[topo.node_index(hop.from_node)]:
                             violations += 1
     ok = violations == 0 and routed >= 100_000
     msg = verdict_line(3, "annihilation invariant", ok,
@@ -570,6 +573,8 @@ def test_criterion_10_oracle_equivalence():
     failure_sets = [()]
     failure_sets += [(e,) for e in elements]
     failure_sets += list(itertools.combinations(elements, 2))
+    method_names = [m.value for m in ALL_METHODS]
+    verdict_names = [v.value for v in _VERDICTS]
 
     routed = 0
     mismatches = 0
@@ -584,22 +589,24 @@ def test_criterion_10_oracle_equivalence():
             4, 4, [(v, neighbor(topo, v, d)) for v, d in failed], dead_nodes
         )
         alive = [v for v in nodes if v not in dead_nodes]
-        for src in alive:
-            for dst in alive:
-                if src == dst:
-                    continue
-                for method in ALL_METHODS:
-                    routed += 1
-                    mine = route_packet(scenario, method, src, dst, engine)
-                    want = ref.run(net, method.value, src, dst,
-                                   engine.sst, engine.ttl)
-                    if (
-                        mine.verdict.value != want["verdict"]
-                        or mine.total_hops != want["hops"]
-                        or mine.reverse_hops != want["reverse_hops"]
-                        or list(mine.annihilation_points) != want["annihilations"]
-                    ):
-                        mismatches += 1
+        pairs = [(src, dst) for src in alive for dst in alive if src != dst]
+        # every pair and method of the failure set in one traced engine call
+        routes = _route_pairs(
+            scenario._port_mask, 4, 4,
+            [(topo.node_index(src), topo.node_index(dst)) for src, dst in pairs],
+            ALL_METHODS, engine.sst, engine.ttl, True,
+        )
+        for (src, dst), by_method in zip(pairs, routes):
+            for name, (code, hops, rev, _, annih) in zip(method_names, by_method):
+                routed += 1
+                want = ref.run(net, name, src, dst, engine.sst, engine.ttl)
+                if (
+                    verdict_names[code] != want["verdict"]
+                    or hops != want["hops"]
+                    or rev != want["reverse_hops"]
+                    or [topo.node_at(i) for i in annih or ()] != want["annihilations"]
+                ):
+                    mismatches += 1
     ok = mismatches == 0
     msg = verdict_line(10, "oracle equivalence", ok,
                        f"{routed} routes across {len(failure_sets)} failure "

@@ -190,6 +190,25 @@ def test_no_temp_residue(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_output_files_get_the_umask_mode(tmp_path, umask):
+    """Every output gets 0666 minus the umask, as a plain open gives it,
+    in csv and json alike."""
+    old = os.umask(umask)
+    try:
+        paths = []
+        for fmt in ("csv", "json"):
+            paths += run_experiment(micro_config(), micro_options(
+                tmp_path / fmt, format=fmt, figures=tuple(FIGURE_COLUMNS),
+                dump_traces=True,
+            )).values()
+    finally:
+        os.umask(old)
+    assert len(paths) == 12  # per format: manifest, aggregate, 3 figures, traces
+    for path in paths:
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path
+
+
 def test_reruns_are_byte_identical(tmp_path):
     config = micro_config()
     a = run_experiment(config, micro_options(tmp_path / "a", figures=("fig6",)))

@@ -387,7 +387,8 @@ def test_trace_well_formedness_random():
                     for a, b in zip(out.trace, out.trace[1:]):
                         assert a.to_node == b.from_node
                 for h in out.trace:
-                    forward = phi.at(h.to_node) < phi.at(h.from_node)
+                    to_phi = phi[topo.node_index(h.to_node)]
+                    forward = to_phi < phi[topo.node_index(h.from_node)]
                     assert (h.kind is HopKind.FORWARD) == forward
                 visited = {src} | {h.to_node for h in out.trace}
                 assert set(out.annihilation_points) <= visited
@@ -421,7 +422,8 @@ def test_delivered_rf_traces_end_in_forward_descent():
                     if h.kind is HopKind.REVERSE:
                         last_rev = i
                 for h in out.trace[last_rev + 1 :]:
-                    assert phi.at(h.to_node) == phi.at(h.from_node) - 1
+                    to_phi = phi[topo.node_index(h.to_node)]
+                    assert to_phi == phi[topo.node_index(h.from_node)] - 1
 
 
 def test_nf_delivery_implies_all_methods_deliver_same_length():
@@ -698,17 +700,16 @@ def test_single_failure_reachability():
         scenarios += [
             (from_failures(topo, nodes=[topo.node_at(v)]), v) for v in range(1, n)
         ]
+        methods = (Method.RF_CF, Method.RF_LF)
         lost = Counter()
         for scen, dead in scenarios:
             kind = "link" if dead is None else "node"
-            for src in range(1, n):
-                if src == dead:
-                    continue
-                for method in (Method.RF_CF, Method.RF_LF):
-                    code = _route_pairs(
-                        scen._port_mask, rows, cols, [(src, 0)], (method,), cfg.sst,
-                        cfg.ttl, False,
-                    )[0][0][0]
+            pairs = [(src, 0) for src in range(1, n) if src != dead]
+            routes = _route_pairs(
+                scen._port_mask, rows, cols, pairs, methods, cfg.sst, cfg.ttl, False
+            )
+            for by_method in routes:
+                for method, (code, *_) in zip(methods, by_method):
                     if code:
                         lost[kind, method, _VERDICTS[code]] += 1
         want = {("node", Method.RF_CF, Verdict.DROPPED_TTL): cf_lost}

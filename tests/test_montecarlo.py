@@ -15,7 +15,6 @@ from torusflow.montecarlo import (
     _mix64,
     _route_block,
     replicate_inputs,
-    run_replicate,
     run_sweep,
     seed_for,
 )
@@ -180,7 +179,7 @@ def test_block_inputs_match_per_replicate_draw(overrides):
 
 def test_fault_free_replicate_counts():
     cfg = small_config(p_values=(0.0,), packets_per_replicate=40)
-    res = run_replicate(cfg, 0.0, 0, 0)
+    res = _route_block(cfg, 0.0, 0, [0])[0]
     _, pairs = replicate_inputs(cfg, 0.0, 0, 0)
     dists = [ref.hop_distance(4, 4, s, t) for s, t in pairs]
     assert res.largest_cc_fraction == 1.0
@@ -197,7 +196,7 @@ def test_fault_free_replicate_counts():
 
 def test_all_links_dead_replicate():
     cfg = small_config(p_values=(1.0,), packets_per_replicate=25)
-    res = run_replicate(cfg, 1.0, 0, 0)
+    res = _route_block(cfg, 1.0, 0, [0])[0]
     assert res.largest_cc_fraction == 1 / 16
     assert res.structurally_unreachable_pairs == 25
     for method in ALL_METHODS:
@@ -209,7 +208,7 @@ def test_all_links_dead_replicate():
 
 def test_all_nodes_dead_replicate_degenerate_guard():
     cfg = small_config(mode=FailureMode.SITE, p_values=(1.0,), packets_per_replicate=15)
-    res = run_replicate(cfg, 1.0, 0, 0)
+    res = _route_block(cfg, 1.0, 0, [0])[0]
     assert res.largest_cc_fraction == 0.0
     assert res.structurally_unreachable_pairs == 15
     for method in ALL_METHODS:
@@ -224,8 +223,8 @@ def test_method_subset_sees_identical_traffic():
     the method list must not move the shared NF tally."""
     full = small_config(p_values=(0.25,))
     thin = small_config(p_values=(0.25,), methods=(Method.NF,))
-    a = run_replicate(full, 0.25, 0, 2)
-    b = run_replicate(thin, 0.25, 0, 2)
+    a = _route_block(full, 0.25, 0, [2])[0]
+    b = _route_block(thin, 0.25, 0, [2])[0]
     assert a.tallies[Method.NF] == b.tallies[Method.NF]
     assert set(b.tallies) == {Method.NF}
 
@@ -244,7 +243,7 @@ def test_replicate_tallies_match_reference_interpreter():
                 [(v, neighbor(topo, v, d)) for v, d in scen.failed_links],
                 scen.failed_nodes,
             )
-            res = run_replicate(cfg, p, p_index, rep)
+            res = _route_block(cfg, p, p_index, [rep])[0]
             unreachable = sum(
                 1 for s, t in pairs if not is_connected_pair(scen, s, t)
             )
@@ -282,7 +281,7 @@ def test_replicate_tallies_match_reference_interpreter():
 def test_structural_unreachability_bounds_losses():
     cfg = small_config(rows=6, cols=6, p_values=(0.3,), replicates=10)
     for rep in range(cfg.replicates):
-        res = run_replicate(cfg, 0.3, 0, rep)
+        res = _route_block(cfg, 0.3, 0, [rep])[0]
         for method in ALL_METHODS:
             assert res.tallies[method].lost >= res.structurally_unreachable_pairs
 
@@ -291,7 +290,7 @@ def test_rf_methods_dominate_nf_per_replicate():
     cfg = small_config(rows=8, cols=8, p_values=(0.05, 0.15), replicates=8)
     for p_index, p in enumerate(cfg.p_values):
         for rep in range(cfg.replicates):
-            res = run_replicate(cfg, p, p_index, rep)
+            res = _route_block(cfg, p, p_index, [rep])[0]
             nf = res.tallies[Method.NF].delivered
             for method in (Method.LFA, Method.RF_CF, Method.RF_LF):
                 assert res.tallies[method].delivered >= nf
@@ -325,7 +324,7 @@ def test_run_replicate_matches_sweep_entries():
     cfg = small_config(p_values=(0.15,), replicates=3)
     results = run_sweep(cfg)
     for rep in range(3):
-        assert results[rep] == run_replicate(cfg, 0.15, 0, rep)
+        assert results[rep] == _route_block(cfg, 0.15, 0, [rep])[0]
 
 
 @pytest.mark.parametrize(
@@ -349,7 +348,7 @@ def test_results_do_not_depend_on_block_boundaries(overrides):
     still give the same results at one and at two workers."""
     cfg = small_config(replicates=40, **overrides)
     p = cfg.p_values[0]
-    alone = [run_replicate(cfg, p, 0, rep) for rep in range(cfg.replicates)]
+    alone = [_route_block(cfg, p, 0, [rep])[0] for rep in range(cfg.replicates)]
     for size in (1, 7, cfg.replicates):
         blocks = [
             _route_block(cfg, p, 0, range(start, min(start + size, cfg.replicates)))
@@ -395,7 +394,7 @@ def test_replicate_tallies_match_reference_at_edge_engine_configs():
                         [(v, neighbor(topo, v, d)) for v, d in scen.failed_links],
                         scen.failed_nodes,
                     )
-                    res = run_replicate(cfg, p, 0, rep)
+                    res = _route_block(cfg, p, 0, [rep])[0]
                     for method in methods:
                         outs = [
                             ref.run(net, method.value, s, t, sst, ttl) for s, t in pairs

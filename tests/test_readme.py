@@ -1,10 +1,34 @@
-"""The README's "Library use" example runs as written against the package's
-top-level exports."""
+"""The package's top-level exports: their pinned set, and the README's
+"Library use" example, which runs as written against them."""
 
 import re
+import types
 from pathlib import Path
 
+import torusflow
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_NAMES = {
+    "AggregateMetrics", "CriticalPointEstimate", "Direction", "EngineConfig",
+    "ExperimentConfig", "FailureMode", "FailureScenario", "HopKind", "HopRecord",
+    "Method", "MethodTally", "PacketOutcome", "ReplicateResult", "TorusTopology",
+    "Verdict", "aggregate", "aggregate_sweep", "apply_bond_failures",
+    "apply_site_failures", "build_torus", "canonical_link", "default_engine_config",
+    "diameter", "is_node_alive", "largest_component_fraction", "neighbor",
+    "route_packet", "run_sweep", "seed_for",
+}
+
+
+def test_public_names_are_pinned():
+    """Adding or removing an export is a deliberate change to this set."""
+    public = {
+        name for name in dir(torusflow)
+        if not name.startswith("__")
+        and not isinstance(getattr(torusflow, name), types.ModuleType)
+    }
+    assert public == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 29
 
 
 def test_library_use_example_runs(capsys):

@@ -38,7 +38,7 @@ def alive_degree(scenario, node):
 
 
 def torus_distance(topo, a, b):
-    return compute_potential(topo, b).at(a)
+    return compute_potential(topo, b)[topo.node_index(a)]
 
 
 def test_direction_algebra():
