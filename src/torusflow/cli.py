@@ -28,10 +28,10 @@ from .forwarding import (
     EngineConfig,
     HopKind,
     Method,
-    _route_pairs,
+    _route_stack,
     default_engine_config,
 )
-from .montecarlo import ExperimentConfig, _block_inputs, run_sweep
+from .montecarlo import ExperimentConfig, _block_inputs, _blocks, run_sweep
 from .potential import _base_tables, _relative_index
 from .topology import Direction, FailureMode, _neighbor_table, build_torus
 
@@ -248,9 +248,11 @@ def emit_plot_data(metrics, config: ExperimentConfig, figure: str, path: str,
 
 def emit_traces(config: ExperimentConfig, path: str):
     """One csv line per hop of every packet, replayable from the config.
-    The inputs are drawn one block per p, and the file is written one
-    replicate at a time, each line joined from text tables keyed by hop
-    code (see forwarding._descend) and by 4 * relative index + port."""
+    The sweep's blocks are drawn and routed with one traced _route_stack
+    call each, so at most one block's traces are held, and the file is
+    written one replicate at a time, each line joined from text tables
+    keyed by hop code (see forwarding._descend) and by 4 * relative index
+    + port."""
     engine = config.resolved_engine()
     rows, cols = config.rows, config.cols
     phi = _base_tables(rows, cols)[0]
@@ -267,17 +269,15 @@ def emit_traces(config: ExperimentConfig, path: str):
     index_text = np.array([], dtype=object)
     with _atomic_open(path) as out:
         out.write("packet,method,hop,from,to,dir,kind,phi_from,phi_to\n")
-        for p_index, p in enumerate(config.p_values):
+        for p, p_index, reps in _blocks(config):
             ports, _, block_rep, block_srcs, block_dsts, _ = _block_inputs(
-                config, p, p_index, range(config.replicates))
-            ends = np.searchsorted(block_rep, np.arange(config.replicates + 1)).tolist()
-            for rep in range(config.replicates):
-                srcs = block_srcs[ends[rep]:ends[rep + 1]]
-                dsts = block_dsts[ends[rep]:ends[rep + 1]]
-                pairs = list(zip(srcs.tolist(), dsts.tolist()))
-                routes = _route_pairs(ports[rep].tobytes(), rows, cols, pairs,
-                                      config.methods, engine.sst, engine.ttl, True)
-                traces = [route[3] for by_method in routes for route in by_method]
+                config, p, p_index, reps)
+            by_method = _route_stack(ports, block_rep, block_srcs, block_dsts, rows, cols,
+                                     config.methods, engine.sst, engine.ttl, True)[3]
+            ends = np.searchsorted(block_rep, np.arange(len(reps) + 1)).tolist()
+            for b, rep in enumerate(reps):
+                first, last = ends[b], ends[b + 1]
+                traces = [t[k] for k in range(first, last) for t in by_method]
                 lengths = np.fromiter(map(len, traces), np.intp, len(traces))
                 total = int(lengths.sum())
                 codes = np.fromiter(chain.from_iterable(traces), np.intp, total)
@@ -285,10 +285,10 @@ def emit_traces(config: ExperimentConfig, path: str):
                 top = int(lengths.max(initial=0))
                 if top > index_text.size:
                     index_text = np.array([f"{i}," for i in range(top)], dtype=object)
-                dst = np.repeat(np.repeat(dsts, len(names)), lengths)
+                dst = np.repeat(np.repeat(block_dsts[first:last], len(names)), lengths)
                 rel = _relative_index(rows, cols, codes >> 3, dst)
                 heads = np.array([f"p{p_index}.r{rep}.{k},{name},"
-                                  for k in range(len(pairs)) for name in names],
+                                  for k in range(last - first) for name in names],
                                  dtype=object)
                 # a row of four text references per hop; no string per line
                 cells = np.stack([np.repeat(heads, lengths), index_text[step],

@@ -273,57 +273,37 @@ def _continue(method, stops, nbr, tables, sst: int, ttl: int, traces):
     return codes, hop_counts, rev_counts, annihs if record else None
 
 
-def _route_pairs(ports, rows: int, cols: int, pairs, methods, sst: int, ttl: int, record):
-    """Route one packet per (src, dst) node index pair over the port mask
-    bytes `ports` with each of `methods`; returns per pair a list of one
-    (code, hops, reverse hops, trace, annihilation points) per method.
-    Until the first dead table port every method takes NF's hops, so that
-    prefix is walked once per pair, and one _continue call per other
-    method routes on from every pair's stop; with `record` each
-    continuation extends its own copy of the prefix trace. Without it
-    trace and annihilation points are None."""
-    nbr = _neighbor_table(rows, cols)
-    tables = _base_tables(rows, cols)
-    table_bit = tables[4]
-    routes, stops, stopped = [], [], []
-    for src, dst in pairs:
-        trace = [] if record else None
-        rel = _relative_index(rows, cols, src, dst)
-        code, at, rel, hops = _descend(ports, nbr, table_bit, src, rel, 0, ttl, trace)
-        if code == 1:
-            stopped.append(len(routes))
-            stops.append((ports, at, rel, hops))
-        routes.append([(code, hops, 0, trace, None)] * len(methods))
-    for mi, method in enumerate(methods):
-        if method is Method.NF or not stops:
-            continue
-        traces = [routes[k][mi][3][:] for k in stopped] if record else None
-        codes, hops, revs, annihs = _continue(method, stops, nbr, tables, sst, ttl, traces)
-        for j, k in enumerate(stopped):
-            routes[k][mi] = (codes[j], hops[j], revs[j], traces and traces[j],
-                             annihs and annihs[j])
-    return routes
+def _route_stack(ports, rep, srcs, dsts, rows: int, cols: int, methods, sst: int,
+                 ttl: int, record: bool = False):
+    """Route packet k from node index srcs[k] to dsts[k] over row rep[k] of
+    the (B, n) uint8 port mask stack `ports` with each of `methods`.
+    Returns (methods, packets) arrays of verdict codes, hops and reverse
+    hops, and with `record` also, per method, one trace and one
+    annihilation point sequence per packet.
 
-
-def _route_nf_stack(ports, base, at, rel, rows: int, cols: int, ttl: int):
-    """NF's _descend for many packets at once, stepped in lockstep with numpy.
-    `ports` is a uint8 stack of port masks (see topology._stack_labels),
-    `base` each packet's scenario offset in it, and `at` and `rel` its node
-    and relative index arrays. Returns code, node, relative index and hop
-    arrays, each entry as _descend returns it for that packet."""
+    Until the first dead table port every method takes NF's hops, so the
+    table paths of all packets are stepped once, in lockstep with numpy
+    (_descend's walk with the table port allowed), and one _continue call
+    per other method routes on from every packet stopped at a dead table
+    port. With `record` each step keeps its packets and hop codes; a
+    stable sort on the packet index puts each packet's codes in step
+    order, and every continuation extends its own copy of that prefix."""
     nxt, down = _base_arrays(rows, cols)[1:3]
     nbr = _neighbor_indices(rows, cols).ravel()
-    at, rel = at.copy(), rel.copy()
+    flat, base = ports.ravel(), rep * (rows * cols)
+    at, rel = srcs.copy(), _relative_index(rows, cols, srcs, dsts)
     code = np.zeros(at.size, dtype=np.uint8)
-    hops = np.zeros(at.size, dtype=np.int32)
+    hops = np.zeros(at.size, dtype=np.int64)
     live = np.flatnonzero(rel)  # relative index 0 is the destination
-    step = 0
+    steps, step = [(live[:0], live[:0])], 0  # with record, (packets, hop codes)
     while live.size and step < ttl:
         here, r = at[live], rel[live]
         d = nxt[r]
-        up = (ports[base[live] + here] >> d & 1).astype(bool)
+        up = (flat[base[live] + here] >> d & 1).astype(bool)
         code[live[~up]] = 1
         live, here, r, d = live[up], here[up], r[up], d[up]
+        if record:
+            steps.append((live, here << 3 | d << 1))
         step += 1
         at[live] = nbr[4 * here + d]
         r = down[r]
@@ -331,7 +311,38 @@ def _route_nf_stack(ports, base, at, rel, rows: int, cols: int, ttl: int):
         hops[live] = step
         live = live[r != 0]
     code[live] = 2  # still on the way after ttl hops
-    return code, at, rel, hops
+
+    # row mi holds method mi's codes, hops and reverse hops
+    codes = np.tile(code, (len(methods), 1))
+    hop_counts = np.tile(hops, (len(methods), 1))
+    rev = np.zeros_like(hop_counts)
+    if record:
+        who, hop_codes = (np.concatenate(x) for x in zip(*steps))
+        hop_codes = hop_codes[np.argsort(who, kind="stable")].tolist()
+        ends = np.cumsum(hops).tolist()
+        prefixes = [hop_codes[e - h:e] for e, h in zip(ends, hops.tolist())]
+        traces = [prefixes[:] for _ in methods]
+        annihs = [[()] * at.size for _ in methods]
+    stopped = np.flatnonzero(code == 1)
+    masks = [row.tobytes() for row in ports]
+    stops = [
+        (masks[r], a, rl, h)
+        for r, a, rl, h in zip(*(x[stopped].tolist() for x in (rep, at, rel, hops)))
+    ]
+    nbr, tables = _neighbor_table(rows, cols), _base_tables(rows, cols)
+    for mi, method in enumerate(methods):
+        if method is Method.NF or not stops:
+            continue
+        seeded = [prefixes[k][:] for k in stopped.tolist()] if record else None
+        c, h, rv, ann = _continue(method, stops, nbr, tables, sst, ttl, seeded)
+        codes[mi, stopped], hop_counts[mi, stopped], rev[mi, stopped] = c, h, rv
+        if record:
+            for j, k in enumerate(stopped.tolist()):
+                traces[mi][k] = seeded[j]
+                annihs[mi][k] = ann[j] if ann else ()
+    if record:
+        return codes, hop_counts, rev, traces, annihs
+    return codes, hop_counts, rev
 
 
 _VERDICTS = (Verdict.DELIVERED, Verdict.DROPPED_NO_EGRESS, Verdict.DROPPED_TTL)
@@ -360,14 +371,22 @@ def route_packet(
     if not is_node_alive(scenario, src) or not is_node_alive(scenario, dst):
         raise ValueError("src and dst must both be alive")
     cfg = config if config is not None else default_engine_config(topo)
-    pair = (topo.node_index(src), topo.node_index(dst))
-    code, hops, rev_hops, trace, annih = _route_pairs(
-        scenario._port_mask, topo.rows, topo.cols, [pair], (method,), cfg.sst, cfg.ttl,
-        record_trace,
-    )[0][0]
+    rows, cols, ports = topo.rows, topo.cols, scenario._port_mask
+    nbr, tables = _neighbor_table(rows, cols), _base_tables(rows, cols)
+    s, t = topo.node_index(src), topo.node_index(dst)
+    trace = [] if record_trace else None
+    code, at, rel, hops = _descend(
+        ports, nbr, tables[4], s, _relative_index(rows, cols, s, t), 0, cfg.ttl, trace
+    )
+    rev_hops, annihs = 0, None
+    if code == 1 and method is not Method.NF:
+        (code,), (hops,), (rev_hops,), annihs = _continue(
+            method, [(ports, at, rel, hops)], nbr, tables, cfg.sst, cfg.ttl,
+            None if trace is None else [trace],
+        )
     records = ()
     if trace:
-        nbr, node_at = _neighbor_table(topo.rows, topo.cols), topo.node_at
+        node_at = topo.node_at
         hop = {  # one record per distinct code; a looping trace repeats its codes
             c: HopRecord(node_at(c >> 3), node_at(nbr[c >> 1]), DIRECTIONS[c >> 1 & 3],
                          _KINDS[c & 1]) for c in set(trace)
@@ -379,5 +398,5 @@ def route_packet(
         total_hops=hops,
         reverse_hops=rev_hops,
         used_reverse=rev_hops > 0,
-        annihilation_points=tuple(topo.node_at(i) for i in annih) if annih else (),
+        annihilation_points=tuple(map(topo.node_at, annihs[0])) if annihs else (),
     )

@@ -10,10 +10,9 @@ Replicates of one p are routed a block at a time. Each replicate draws its
 scenario and pairs from two generators seeded from its own cell key, and
 the block turns all of those draws into stacked port masks and node
 indices in one pass (_block_inputs). It labels the components of every
-scenario in one pass over the stack, walks every packet's table path in
-lockstep with numpy, routes on the packets stopped at a dead table port
-with one scalar continuation loop per method, and tallies every
-replicate with bincounts over the replicate index. A block stacks at most
+scenario in one pass over the stack, routes every packet with every
+method in one forwarding._route_stack call, and tallies every replicate
+with bincounts over the replicate index. A block stacks at most
 _BLOCK_NODES nodes, so memory stays bounded on large tori, and no result
 depends on where blocks split.
 """
@@ -21,24 +20,17 @@ depends on where blocks split.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forwarding import (
-    EngineConfig,
-    Method,
-    _continue,
-    _route_nf_stack,
-    default_engine_config,
-)
-from .potential import _base_tables, _relative_index
+from .forwarding import EngineConfig, Method, _route_stack, default_engine_config
 from .topology import (
     FailureMode,
     FailureScenario,
     _draw_bytes,
     _largest_component_fractions,
-    _neighbor_table,
     _stack_labels,
     build_torus,
 )
@@ -201,31 +193,10 @@ def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_ind
     unreachable = np.bincount(rep[split], minlength=count).tolist()
 
     engine = config.resolved_engine()
-    rel = _relative_index(rows, cols, srcs, dsts)
-    code, at, rel, hops = _route_nf_stack(
-        ports.ravel(), base, srcs, rel, rows, cols, engine.ttl
-    )
-    # row mi holds method mi's verdict codes, hops and reverse hops; every
-    # method shares the table-path prefix, and only packets stopped at a
-    # dead table port route on, one continuation loop per method
     methods = config.methods
-    codes = np.tile(code, (len(methods), 1))
-    hop_counts = np.tile(hops.astype(np.int64), (len(methods), 1))
-    rev = np.zeros_like(hop_counts)
-    stopped = np.flatnonzero(code == 1)
-    if stopped.size:
-        masks = [row.tobytes() for row in ports]
-        stops = [
-            (masks[r], a, rl, h)
-            for r, a, rl, h in zip(*(x[stopped].tolist() for x in (rep, at, rel, hops)))
-        ]
-        nbr = _neighbor_table(rows, cols)
-        tables = _base_tables(rows, cols)
-        for mi, method in enumerate(methods):
-            if method is not Method.NF:
-                codes[mi, stopped], hop_counts[mi, stopped], rev[mi, stopped] = _continue(
-                    method, stops, nbr, tables, engine.sst, engine.ttl, None
-                )[:3]
+    codes, hop_counts, rev = _route_stack(
+        ports, rep, srcs, dsts, rows, cols, methods, engine.sst, engine.ttl
+    )
 
     tallies = _cell_tallies(count, rep, codes, hop_counts, rev)
     packets = config.packets_per_replicate
@@ -288,20 +259,29 @@ def _cell_tallies(count: int, rep, codes, hops, rev) -> list[MethodTally]:
     ]
 
 
-def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ReplicateResult]:
-    """All replicates for all p values, ordered by (p_index,
-    replicate_index). The result is a pure function of the config; the
-    worker count only changes wall time."""
+def _blocks(config: ExperimentConfig, workers: int = 1):
+    """(p, p_index, replicates) of each block in sweep order: at most
+    _BLOCK_NODES stacked nodes, and about four blocks per worker and p."""
     size = max(1, _BLOCK_NODES // (config.rows * config.cols))
     if workers > 1:
-        # about four blocks per worker and p, so the workers stay busy
         size = min(size, max(1, config.replicates // (4 * workers)))
-    blocks = [
+    return [
         (p, p_index, range(start, min(start + size, config.replicates)))
         for p_index, p in enumerate(config.p_values)
         for start in range(0, config.replicates, size)
     ]
+
+
+def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ReplicateResult]:
+    """All replicates for all p values, ordered by (p_index,
+    replicate_index). The result is a pure function of the config; the
+    worker count only changes wall time."""
+    # a forked pool starts all its workers at once, so ask for no more
+    # than there are cores, nor than there are blocks
+    workers = min(workers, os.cpu_count() or 1)
+    blocks = _blocks(config, workers)
     args = (itertools.repeat(config), *zip(*blocks))
+    workers = min(workers, len(blocks))
     if workers <= 1:
         chunks = map(_route_block, *args)
     else:

@@ -265,17 +265,10 @@ def apply_site_failures(topo: TorusTopology, p: float, seed: int) -> FailureScen
     return FailureScenario(topo, FailureMode.SITE, p, seed, mask.tobytes(), nodes.tobytes())
 
 
-def from_failures(
-    topo: TorusTopology,
-    links=(),
-    nodes=(),
-    mode: FailureMode = FailureMode.BOND,
-    p: float = 0.0,
-    seed: int = 0,
-) -> FailureScenario:
+def from_failures(topo: TorusTopology, links=(), nodes=()) -> FailureScenario:
     """Explicit scenario from iterables of dead (node, direction) links,
-    named from either endpoint, and dead nodes. Raises ValueError for a node
-    off the grid."""
+    named from either endpoint, and dead nodes, labelled as a bond draw at
+    p = 0.0 with seed 0. Raises ValueError for a node off the grid."""
     dead = np.zeros((3, 1, topo.num_nodes), dtype=bool)  # E ports, S ports, nodes
     for node, d in links:
         d = Direction(d)
@@ -284,8 +277,8 @@ def from_failures(
         dead[0 if d == Direction.E else 1, 0, topo.node_index(node)] = True
     for node in nodes:
         dead[2, 0, topo.node_index(node)] = True
-    mask, node_bits = _scenario_bytes(topo, *dead)
-    return FailureScenario(topo, mode, p, seed, mask.tobytes(), node_bits.tobytes())
+    mask, alive = _scenario_bytes(topo, *dead)
+    return FailureScenario(topo, FailureMode.BOND, 0.0, 0, mask.tobytes(), alive.tobytes())
 
 
 def _check_p(p: float):

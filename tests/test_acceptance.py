@@ -43,21 +43,26 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import reference_engine as ref
 from torusflow.analysis import aggregate_sweep, estimate_peak
 from torusflow.cli import log_spaced, run_experiment
 from torusflow.forwarding import (
-    HopKind,
     Method,
     Verdict,
     _VERDICTS,
-    _route_pairs,
+    _route_stack,
     default_engine_config,
     route_packet,
 )
-from torusflow.montecarlo import ExperimentConfig, replicate_inputs, run_sweep
+from torusflow.montecarlo import (
+    ExperimentConfig,
+    _block_inputs,
+    replicate_inputs,
+    run_sweep,
+)
 from torusflow.potential import compute_potential, forward_reachable_set
 from torusflow.topology import (
     DIRECTIONS,
@@ -70,6 +75,7 @@ from torusflow.topology import (
     from_failures,
     is_link_alive,
     is_node_alive,
+    _neighbor_table,
     neighbor,
 )
 
@@ -350,29 +356,27 @@ def test_criterion_03_annihilation_invariant():
     )
     topo = build_torus(16, 16)
     engine = config.resolved_engine()
+    nbr = _neighbor_table(16, 16)
     phi_cache = {}
     routed = 0
     violations = 0
     for p_index, p in enumerate(config.p_values):
-        for rep in range(config.replicates):
-            scenario, pairs = replicate_inputs(config, p, p_index, rep)
-            for src, dst in pairs:
-                if dst not in phi_cache:
-                    phi_cache[dst] = compute_potential(topo, dst)
-                phi = phi_cache[dst]
-                for method in (Method.RF_CF, Method.RF_LF):
-                    out = route_packet(scenario, method, src, dst, engine)
-                    routed += 1
-                    if out.verdict is not Verdict.DELIVERED:
-                        continue
-                    last_reverse = -1
-                    for i, hop in enumerate(out.trace):
-                        if hop.kind is HopKind.REVERSE:
-                            last_reverse = i
-                    for hop in out.trace[last_reverse + 1:]:
-                        to_phi = phi[topo.node_index(hop.to_node)]
-                        if to_phi >= phi[topo.node_index(hop.from_node)]:
-                            violations += 1
+        # every replicate of the p in one traced stacked call
+        ports, _, rep, srcs, dsts, _ = _block_inputs(
+            config, p, p_index, range(config.replicates))
+        codes, _, _, traces, _ = _route_stack(
+            ports, rep, srcs, dsts, 16, 16, RF_METHODS, engine.sst, engine.ttl, True)
+        routed += codes.size
+        for mi, k in zip(*np.nonzero(codes == 0)):
+            dst = int(dsts[k])
+            if dst not in phi_cache:
+                phi_cache[dst] = compute_potential(topo, topo.node_at(dst))
+            phi = phi_cache[dst]
+            trace = traces[mi][k]
+            last_reverse = max((i for i, c in enumerate(trace) if c & 1), default=-1)
+            for c in trace[last_reverse + 1:]:
+                if phi[nbr[c >> 1]] >= phi[c >> 3]:
+                    violations += 1
     ok = violations == 0 and routed >= 100_000
     msg = verdict_line(3, "annihilation invariant", ok,
                        f"{routed} reverse-flow routes, {violations} delivered "
@@ -591,20 +595,21 @@ def test_criterion_10_oracle_equivalence():
         alive = [v for v in nodes if v not in dead_nodes]
         pairs = [(src, dst) for src in alive for dst in alive if src != dst]
         # every pair and method of the failure set in one traced engine call
-        routes = _route_pairs(
-            scenario._port_mask, 4, 4,
-            [(topo.node_index(src), topo.node_index(dst)) for src, dst in pairs],
-            ALL_METHODS, engine.sst, engine.ttl, True,
+        srcs, dsts = (np.array([topo.node_index(v) for v in ends]) for ends in zip(*pairs))
+        *counters, _, annihs = _route_stack(
+            np.frombuffer(scenario._port_mask, np.uint8)[None], np.zeros_like(srcs),
+            srcs, dsts, 4, 4, ALL_METHODS, engine.sst, engine.ttl, True,
         )
-        for (src, dst), by_method in zip(pairs, routes):
-            for name, (code, hops, rev, _, annih) in zip(method_names, by_method):
+        for mi, name in enumerate(method_names):
+            codes, hops, revs = (a[mi].tolist() for a in counters)
+            for k, (src, dst) in enumerate(pairs):
                 routed += 1
                 want = ref.run(net, name, src, dst, engine.sst, engine.ttl)
                 if (
-                    verdict_names[code] != want["verdict"]
-                    or hops != want["hops"]
-                    or rev != want["reverse_hops"]
-                    or [topo.node_at(i) for i in annih or ()] != want["annihilations"]
+                    verdict_names[codes[k]] != want["verdict"]
+                    or hops[k] != want["hops"]
+                    or revs[k] != want["reverse_hops"]
+                    or [topo.node_at(i) for i in annihs[mi][k]] != want["annihilations"]
                 ):
                     mismatches += 1
     ok = mismatches == 0

@@ -5,6 +5,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import reference_engine as ref
@@ -17,7 +18,7 @@ from torusflow.forwarding import (
     _VERDICTS,
     _continue,
     _descend,
-    _route_pairs,
+    _route_stack,
     default_engine_config,
     route_packet,
 )
@@ -579,13 +580,21 @@ def test_prefix_property_against_reference():
                         ), (method, src, dst, sst)
 
 
+def port_stack(scenarios):
+    """The (B, n) port mask stack of `scenarios`, scenario b in row b."""
+    return np.stack([np.frombuffer(scen._port_mask, np.uint8) for scen in scenarios])
+
+
 def test_continue_batch_matches_reference():
-    """One _continue call per method and engine config routes on from the
-    NF-prefix stops of several bond and site scenarios at once, untraced
-    and with each trace seeded with its stop's prefix. Every stop must
-    equal the reference route from its pair's source, so no policy, loop
-    or trace state may leak from one stop into the next; the batch holds
-    ttl drops and dead ends among routes that deliver."""
+    """Several bond and site scenarios, stacked one per row, route at once:
+    through one _continue call per method and engine config from the
+    NF-prefix stops, untraced and with each trace seeded with its stop's
+    prefix, and through one _route_stack call for every method, traced and
+    untraced. Every route must equal the reference route from its pair's
+    source, so no policy, loop or trace state may leak from one packet into
+    the next, and the traced stack must assemble each packet's table-path
+    prefix from the lockstep steps in hop order; the batch holds ttl drops
+    and dead ends among routes that deliver."""
     rng = random.Random(1515)
     methods = (Method.LFA, Method.RF_CF, Method.RF_LF)
     for rows, cols in ((16, 16), (8, 8), (5, 7)):
@@ -598,8 +607,13 @@ def test_continue_batch_matches_reference():
             for seed in range(2)
             for draw, p in ((apply_bond_failures, 0.2), (apply_site_failures, 0.15))
         ]
-        pairs = [(scen, to_ref_net(scen), *pair)
-                 for scen in scenarios for pair in alive_pairs(scen, rng, 12)]
+        pairs = [(b, scen, to_ref_net(scen), *pair)
+                 for b, scen in enumerate(scenarios)
+                 for pair in alive_pairs(scen, rng, 12)]
+        ports = port_stack(scenarios)
+        rep, srcs, dsts = (np.array(x) for x in zip(*(
+            (b, topo.node_index(src), topo.node_index(dst))
+            for b, _, _, src, dst in pairs)))
 
         def hop(c):
             return (topo.node_at(c >> 3), topo.node_at(nbr[c >> 1]),
@@ -607,8 +621,10 @@ def test_continue_batch_matches_reference():
 
         for cfg in (dflt, EngineConfig(1, dflt.ttl), EngineConfig(2, 40),
                     EngineConfig(3, 17)):
-            stops, prefixes, wants = [], [], {m: [] for m in methods}
-            for scen, net, src, dst in pairs:
+            wants = [[ref.run(net, m.value, src, dst, cfg.sst, cfg.ttl)
+                      for _, _, net, src, dst in pairs] for m in ALL_METHODS]
+            stops, prefixes, stopped = [], [], []
+            for k, (_, scen, _, src, dst) in enumerate(pairs):
                 s, t = topo.node_index(src), topo.node_index(dst)
                 prefix = []
                 code, at, rel, hops = _descend(
@@ -619,8 +635,7 @@ def test_continue_batch_matches_reference():
                     continue
                 stops.append((scen._port_mask, at, rel, hops))
                 prefixes.append(prefix)
-                for m in methods:
-                    wants[m].append(ref.run(net, m.value, src, dst, cfg.sst, cfg.ttl))
+                stopped.append(k)
             seen = set()
             for m in methods:
                 bare = _continue(m, stops, nbr, tables, cfg.sst, cfg.ttl, None)
@@ -628,7 +643,8 @@ def test_continue_batch_matches_reference():
                 full = _continue(m, stops, nbr, tables, cfg.sst, cfg.ttl, traces)
                 assert bare[:3] == full[:3] and bare[3] is None, (rows, m, cfg)
                 annihs = full[3] or [[]] * len(stops)
-                for j, want in enumerate(wants[m]):
+                for j, k in enumerate(stopped):
+                    want = wants[ALL_METHODS.index(m)][k]
                     where = (rows, cols, m, cfg, j)
                     assert (_VERDICTS[bare[0][j]].value, bare[1][j], bare[2][j]) == (
                         want["verdict"], want["hops"], want["reverse_hops"]), where
@@ -636,6 +652,21 @@ def test_continue_batch_matches_reference():
                     assert list(map(topo.node_at, annihs[j])) == want["annihilations"], where
                 seen.update(bare[0])
             assert seen == {0, 1, 2}, (rows, cfg, seen)
+
+            args = (ports, rep, srcs, dsts, rows, cols, ALL_METHODS, cfg.sst, cfg.ttl)
+            codes, hops, revs, traces, annihs = _route_stack(*args, record=True)
+            bare = _route_stack(*args)
+            assert len(bare) == 3, (rows, cfg)
+            for got, untraced in zip((codes, hops, revs), bare):
+                assert np.array_equal(got, untraced), (rows, cfg)
+            for mi, m in enumerate(ALL_METHODS):
+                for k, want in enumerate(wants[mi]):
+                    where = (rows, cols, m, cfg, k)
+                    assert (_VERDICTS[codes[mi, k]].value, hops[mi, k], revs[mi, k]) == (
+                        want["verdict"], want["hops"], want["reverse_hops"]), where
+                    assert list(map(hop, traces[mi][k])) == want["trace"], where
+                    annih = list(map(topo.node_at, annihs[mi][k]))
+                    assert annih == want["annihilations"], where
 
 
 # ---------------------------------------------------------------------------
@@ -700,18 +731,20 @@ def test_single_failure_reachability():
         scenarios += [
             (from_failures(topo, nodes=[topo.node_at(v)]), v) for v in range(1, n)
         ]
+        # every scenario of the shape in one stacked call, scenario b in row b
+        rep, srcs, kinds = (np.array(x) for x in zip(*(
+            (b, src, "link" if dead is None else "node")
+            for b, (_, dead) in enumerate(scenarios)
+            for src in range(1, n) if src != dead)))
         methods = (Method.RF_CF, Method.RF_LF)
-        lost = Counter()
-        for scen, dead in scenarios:
-            kind = "link" if dead is None else "node"
-            pairs = [(src, 0) for src in range(1, n) if src != dead]
-            routes = _route_pairs(
-                scen._port_mask, rows, cols, pairs, methods, cfg.sst, cfg.ttl, False
-            )
-            for by_method in routes:
-                for method, (code, *_) in zip(methods, by_method):
-                    if code:
-                        lost[kind, method, _VERDICTS[code]] += 1
+        codes = _route_stack(
+            port_stack([scen for scen, _ in scenarios]), rep, srcs, np.zeros_like(srcs),
+            rows, cols, methods, cfg.sst, cfg.ttl,
+        )[0]
+        lost = Counter(
+            (kinds[k], methods[mi], _VERDICTS[codes[mi, k]])
+            for mi, k in zip(*np.nonzero(codes))
+        )
         want = {("node", Method.RF_CF, Verdict.DROPPED_TTL): cf_lost}
         assert lost == want, (rows, cols)
 
@@ -742,27 +775,28 @@ def test_pair_failure_certificate():
     for (rows, cols), counts in want.items():
         topo = build_torus(rows, cols)
         cfg = default_engine_config(topo)
-        pairs = [(src, 0) for src in range(1, topo.num_nodes)]
+        scenarios = [from_failures(topo, links=dead)
+                     for dead in itertools.combinations(all_links(topo), 2)]
+        # every scenario of the shape in one stacked call, scenario b in row b
+        sources = np.arange(1, topo.num_nodes)
+        rep = np.repeat(np.arange(len(scenarios)), sources.size)
+        srcs = np.tile(sources, len(scenarios))
+        codes, hops, revs = _route_stack(
+            port_stack(scenarios), rep, srcs, np.zeros_like(srcs), rows, cols,
+            methods, cfg.sst, cfg.ttl,
+        )
         lost = Counter()
         mismatches = []
-        for dead in itertools.combinations(all_links(topo), 2):
-            scen = from_failures(topo, links=dead)
-            net = None
-            routes = _route_pairs(
-                scen._port_mask, rows, cols, pairs, methods, cfg.sst, cfg.ttl, False
-            )
-            for (src, _), outs in zip(pairs, routes):
-                for method, (code, hops, rev_hops, _, _) in zip(methods, outs):
-                    if not code:
-                        continue
-                    verdict = _VERDICTS[code]
-                    lost[method, verdict] += 1
-                    net = net or to_ref_net(scen)
-                    want_route = ref.run(
-                        net, method.value, topo.node_at(src), (0, 0), cfg.sst, cfg.ttl
-                    )
-                    got = (verdict.value, hops, rev_hops)
-                    if got != tuple(want_route[k] for k in counters):
-                        mismatches.append((dead, method, src))
+        nets = {}  # reference networks of the scenarios that lose a route
+        for mi, k in zip(*np.nonzero(codes)):
+            method, verdict, scen = methods[mi], _VERDICTS[codes[mi, k]], scenarios[rep[k]]
+            lost[method, verdict] += 1
+            if rep[k] not in nets:
+                nets[rep[k]] = to_ref_net(scen)
+            src = topo.node_at(srcs[k])
+            want_route = ref.run(nets[rep[k]], method.value, src, (0, 0), cfg.sst, cfg.ttl)
+            got = (verdict.value, hops[mi, k], revs[mi, k])
+            if got != tuple(want_route[key] for key in counters):
+                mismatches.append((sorted(scen.failed_links), method, src))
         assert not mismatches, (rows, cols, mismatches[:5])
         assert lost == counts, (rows, cols)

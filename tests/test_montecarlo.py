@@ -320,6 +320,40 @@ def test_run_sweep_worker_count_is_invisible():
     assert run_sweep(cfg, workers=1) == run_sweep(cfg, workers=2)
 
 
+def test_worker_pool_is_capped_by_cores_and_blocks(monkeypatch):
+    """A forked pool starts every worker it is asked for at once, so
+    run_sweep asks for no more than there are cores and blocks. An
+    in-process stand-in for the pool records the cap and maps in this
+    process; no process is started."""
+    import concurrent.futures
+
+    caps = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            caps.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 6)
+    # 2 p x 10 replicates: blocks of 10 // (4 * 6) -> 1 replicate, 20 blocks
+    many = small_config(p_values=(0.05, 0.25), replicates=10)
+    # 1 p x 2 replicates: 2 blocks of one replicate
+    few = small_config(p_values=(0.1,), replicates=2)
+    for cfg, cap in ((many, 6), (few, 2)):
+        assert run_sweep(cfg, workers=10_000) == run_sweep(cfg, workers=1)
+        assert caps == [cap], cfg
+        caps.clear()
+
+
 def test_run_replicate_matches_sweep_entries():
     cfg = small_config(p_values=(0.15,), replicates=3)
     results = run_sweep(cfg)
