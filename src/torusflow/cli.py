@@ -24,14 +24,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import AggregateMetrics, aggregate_sweep
-from .forwarding import (
-    EngineConfig,
-    HopKind,
-    Method,
-    _route_stack,
-    default_engine_config,
-)
-from .montecarlo import ExperimentConfig, _block_inputs, _blocks, run_sweep
+from .forwarding import EngineConfig, HopKind, Method, default_engine_config
+from .montecarlo import ExperimentConfig, _blocks, _route_block, run_sweep
 from .potential import _base_tables, _relative_index
 from .topology import Direction, FailureMode, _neighbor_table, build_torus
 
@@ -248,17 +242,17 @@ def emit_plot_data(metrics, config: ExperimentConfig, figure: str, path: str,
 
 def emit_traces(config: ExperimentConfig, path: str):
     """One csv line per hop of every packet, replayable from the config.
-    The sweep's blocks are drawn and routed with one traced _route_stack
-    call each, so at most one block's traces are held, and the file is
-    written one replicate at a time, each line joined from text tables
-    keyed by hop code (see forwarding._descend) and by 4 * relative index
-    + port."""
+    Each of the sweep's blocks is drawn, routed and tallied by one traced
+    _route_block call, so every packet is routed once and at most one
+    block's traces are held. The file is written one replicate at a time,
+    each line joined from text tables keyed by hop code (see
+    forwarding._descend) and by 4 * relative index + port. Returns the
+    sweep's results, equal to run_sweep(config)."""
     engine = config.resolved_engine()
     rows, cols = config.rows, config.cols
     phi = _base_tables(rows, cols)[0]
     nbr = _neighbor_table(rows, cols)
     labels = [f"{r}:{c}" for r in range(rows) for c in range(cols)]
-    names = [m.name for m in config.methods]
     hop_text = np.array([  # from,to,dir,kind, in hop code order
         f"{labels[a]},{labels[nbr[4 * a + d]]},{d.name},{kind.value},"
         for a in range(rows * cols) for d in Direction for kind in HopKind
@@ -266,14 +260,17 @@ def emit_traces(config: ExperimentConfig, path: str):
     phi_text = np.array([  # phi_from,phi_to
         f"{phi[i >> 2]},{phi[nbr[i]]}\n" for i in range(4 * rows * cols)
     ], dtype=object)
-    index_text = np.array([], dtype=object)
+    # no trace is longer than the ttl
+    index_text = np.array([f"{i}," for i in range(engine.ttl)], dtype=object)
+    tails = np.array([f"{k},{m.name}," for k in range(config.packets_per_replicate)
+                      for m in config.methods], dtype=object)  # packet,method,
+    results = []
     with _atomic_open(path) as out:
         out.write("packet,method,hop,from,to,dir,kind,phi_from,phi_to\n")
         for p, p_index, reps in _blocks(config):
-            ports, _, block_rep, block_srcs, block_dsts, _ = _block_inputs(
-                config, p, p_index, reps)
-            by_method = _route_stack(ports, block_rep, block_srcs, block_dsts, rows, cols,
-                                     config.methods, engine.sst, engine.ttl, True)[3]
+            block, block_rep, block_dsts, by_method = _route_block(
+                config, p, p_index, reps, True)
+            results += block
             ends = np.searchsorted(block_rep, np.arange(len(reps) + 1)).tolist()
             for b, rep in enumerate(reps):
                 first, last = ends[b], ends[b + 1]
@@ -282,19 +279,17 @@ def emit_traces(config: ExperimentConfig, path: str):
                 total = int(lengths.sum())
                 codes = np.fromiter(chain.from_iterable(traces), np.intp, total)
                 step = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-                top = int(lengths.max(initial=0))
-                if top > index_text.size:
-                    index_text = np.array([f"{i}," for i in range(top)], dtype=object)
-                dst = np.repeat(np.repeat(block_dsts[first:last], len(names)), lengths)
+                dst = np.repeat(np.repeat(block_dsts[first:last], len(by_method)), lengths)
                 rel = _relative_index(rows, cols, codes >> 3, dst)
-                heads = np.array([f"p{p_index}.r{rep}.{k},{name},"
-                                  for k in range(last - first) for name in names],
-                                 dtype=object)
-                # a row of four text references per hop; no string per line
-                cells = np.stack([np.repeat(heads, lengths), index_text[step],
-                                  hop_text[codes], phi_text[4 * rel + (codes >> 1 & 3)]],
-                                 axis=1)
-                out.write("".join(cells.ravel().tolist()))
+                heads = f"p{p_index}.r{rep}." + tails[:len(traces)]
+                # four text references per hop, interleaved; no string per line
+                cells = [""] * (4 * total)
+                cells[0::4] = np.repeat(heads, lengths).tolist()
+                cells[1::4] = index_text[step].tolist()
+                cells[2::4] = hop_text[codes].tolist()
+                cells[3::4] = phi_text[4 * rel + (codes >> 1 & 3)].tolist()
+                out.write("".join(cells))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +347,11 @@ def run_experiment(config: ExperimentConfig, options) -> dict:
     fmt = options["format"]
     ext = "csv" if fmt == "csv" else "json"
 
-    results = run_sweep(config, workers=options["workers"])
+    traces_path = os.path.join(out_dir, "traces.csv")
+    if options["dump_traces"]:
+        results = emit_traces(config, traces_path)
+    else:
+        results = run_sweep(config, workers=options["workers"])
     metrics = aggregate_sweep(results, config)
 
     outputs = []
@@ -366,8 +365,6 @@ def run_experiment(config: ExperimentConfig, options) -> dict:
         outputs.append((f"{fig}_path", fig_path))
 
     if options["dump_traces"]:
-        traces_path = os.path.join(out_dir, "traces.csv")
-        emit_traces(config, traces_path)
         outputs.append(("traces_path", traces_path))
 
     manifest_path = os.path.join(out_dir, "manifest.txt")

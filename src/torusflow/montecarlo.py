@@ -11,10 +11,10 @@ scenario and pairs from two generators seeded from its own cell key, and
 the block turns all of those draws into stacked port masks and node
 indices in one pass (_block_inputs). It labels the components of every
 scenario in one pass over the stack, routes every packet with every
-method in one forwarding._route_stack call, and tallies every replicate
-with bincounts over the replicate index. A block stacks at most
-_BLOCK_NODES nodes, so memory stays bounded on large tori, and no result
-depends on where blocks split.
+method in one forwarding._route_stack call, traced for the trace dump,
+and tallies every replicate with bincounts over the replicate index. A
+block stacks at most _BLOCK_NODES nodes, so memory stays bounded on
+large tori, and no result depends on where blocks split.
 """
 
 from __future__ import annotations
@@ -177,9 +177,11 @@ def replicate_inputs(
     ]
 
 
-def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_indices):
+def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_indices,
+                 record: bool = False):
     """Results of the given replicates of one p, routed together as the
-    module docstring describes."""
+    module docstring describes. With `record` also each packet's replicate
+    and dst node indices and, per method, each packet's trace."""
     rows, cols = config.rows, config.cols
     n = rows * cols
     count = len(replicate_indices)
@@ -194,11 +196,11 @@ def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_ind
 
     engine = config.resolved_engine()
     methods = config.methods
-    codes, hop_counts, rev = _route_stack(
-        ports, rep, srcs, dsts, rows, cols, methods, engine.sst, engine.ttl
+    routed = _route_stack(
+        ports, rep, srcs, dsts, rows, cols, methods, engine.sst, engine.ttl, record
     )
 
-    tallies = _cell_tallies(count, rep, codes, hop_counts, rev)
+    tallies = _cell_tallies(count, rep, *routed[:3])
     packets = config.packets_per_replicate
     results = []
     paired = np.bincount(rep, minlength=count).tolist()
@@ -220,6 +222,8 @@ def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_ind
             largest_cc_fraction=cc_fraction[b],
             structurally_unreachable_pairs=unreachable[b],
         ))
+    if record:
+        return results, rep, dsts, routed[3]
     return results
 
 

@@ -21,8 +21,9 @@ from torusflow.cli import (
     run_experiment,
     write_manifest,
 )
+from torusflow import cli, montecarlo
 from torusflow.forwarding import EngineConfig, Method, Verdict, route_packet
-from torusflow.montecarlo import ExperimentConfig, replicate_inputs
+from torusflow.montecarlo import ExperimentConfig, _blocks, replicate_inputs, run_sweep
 from torusflow.potential import _base_grid
 from torusflow.topology import FailureMode
 
@@ -321,6 +322,35 @@ def test_trace_dump_matches_independent_rendering(tmp_path, rows, cols, p_values
     assert path.read_text() == want
     if sst is not None:
         assert looped > 0
+
+
+@pytest.mark.parametrize("overrides", [
+    # 113 replicates per block, so three blocks per p
+    dict(rows=12, cols=12, mode=FailureMode.SITE, p_values=(0.05, 0.2), replicates=250),
+    # at p = 1.0 no replicate has a pair to route
+    dict(mode=FailureMode.SITE, p_values=(0.1, 1.0)),
+], ids=["12x12_site_three_blocks", "site_p1_no_pairs"])
+def test_trace_dump_routes_each_block_once(tmp_path, monkeypatch, overrides):
+    config = micro_config(**overrides)
+    assert emit_traces(config, str(tmp_path / "traces.csv")) == run_sweep(config)
+
+    assert not hasattr(cli, "_route_stack") and not hasattr(cli, "_block_inputs")
+    calls = []
+    route_stack = montecarlo._route_stack
+
+    def counted(*args):
+        calls.append(args[-1])
+        return route_stack(*args)
+
+    monkeypatch.setattr(montecarlo, "_route_stack", counted)
+    run_experiment(config, micro_options(tmp_path / "off"))
+    want = (tmp_path / "off" / "aggregate.csv").read_bytes()
+    for workers in (1, 2):
+        calls.clear()
+        out = tmp_path / f"dump{workers}"
+        run_experiment(config, micro_options(out, dump_traces=True, workers=workers))
+        assert calls == [True] * len(_blocks(config))
+        assert (out / "aggregate.csv").read_bytes() == want
 
 
 def test_main_end_to_end(tmp_path, capsys):

@@ -53,6 +53,18 @@ CASES = {
                 "1d933a3b92556db2e857e0e09195744a5861f7cbf95b25c87e85f15375870a1c",
         },
     ),
+    # 130 RF_CF and 51 RF_LF routes run to the ttl, so the traces pin the
+    # loop-cut period copies of traced routes
+    "bond8_traces": (
+        "--rows 8 --cols 8 --mode bond --p 0.05,0.15 "
+        "--replicates 20 --packets-per-replicate 30 --seed 11 --dump-traces",
+        {
+            "aggregate.csv":
+                "d68d0f496e0bc2093355f2c6662967e44f4c7b81f3154c25a640ef406731d2fa",
+            "traces.csv":
+                "4305a8f0f6f474f877253cbef093371f5ef53e7d2a32910896a70550f9a5d9ac",
+        },
+    ),
     # 320 routed pairs to 308 distinct destinations on a 64x64 torus, all
     # served by the one set of base tables for the shape
     "site64_low": (
