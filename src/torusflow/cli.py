@@ -245,8 +245,8 @@ def emit_traces(config: ExperimentConfig, path: str):
     Each of the sweep's blocks is drawn, routed and tallied by one traced
     _route_block call, so every packet is routed once and at most one
     block's traces are held. The file is written one replicate at a time,
-    each line joined from text tables keyed by hop code (see
-    forwarding._descend) and by 4 * relative index + port. Returns the
+    each line joined from text tables keyed by hop code (see the routing
+    loops in forwarding) and by 4 * relative index + port. Returns the
     sweep's results, equal to run_sweep(config)."""
     engine = config.resolved_engine()
     rows, cols = config.rows, config.cols

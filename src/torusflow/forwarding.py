@@ -7,9 +7,10 @@ Four strategies share one frozen routing table:
   RF_CF  reverse flow, counter-facing base policy (opposite port first).
   RF_LF  reverse flow, lateral-facing base policy (side ports first).
 
-The table port is the first descending port in N, E, S, W order, so NF and
-LFA are one walk: take the first alive allowed port at every node, where NF
-allows the table port alone and LFA every descending port.
+Every strategy follows the table while its port is up and differs only at
+a dead table port: NF drops, LFA takes the first alive descending port
+(exact, since the table port is the first one in N, E, S, W order) and the
+reverse-flow strategies generate reverse flow.
 
 The reverse-flow strategies may push a packet against its potential. A node
 recognizes such a packet because the table tells it to send the packet back
@@ -138,10 +139,11 @@ _EGRESS = tuple(_egress(m, r, p) for m in range(16) for r in range(4) for p in r
 # ports, neighbors, traces and loop keys use, and `rel` its index relative
 # to the destination, which the base tables use (see
 # potential._base_tables); a port leads to the same direction in both
-# frames. Every packet walks its table path (NF) first, and one _continue
-# loop per other method routes on every stop of a batch at a dead table
-# port. Verdict codes 0=delivered 1=no_egress 2=ttl; a trace is a list of
-# hop codes or None: a hop from node index `at` out of port d is the int
+# frames. _continue is the one scalar walk of the table for every method,
+# from any start; _route_stack steps the table paths of a batch in lockstep
+# first, since every method takes them, and continues from their stops.
+# Verdict codes 0=delivered 1=no_egress 2=ttl; a trace is a list of hop
+# codes or None: a hop from node index `at` out of port d is the int
 # at << 3 | d << 1 | kind, kind 1 for a reverse hop, so code >> 1 is the
 # neighbor table's index 4 * at + d
 
@@ -149,59 +151,31 @@ _EGRESS = tuple(_egress(m, r, p) for m in range(16) for r in range(4) for p in r
 _FIRST_PORT = tuple((m & -m).bit_length() - 1 for m in range(16))
 
 
-def _descend(ports, nbr, allowed, at: int, rel: int, hops: int, ttl: int, trace):
-    """Take the first alive port of `allowed[rel]` at every node; returns
-    (code, node, rel, hops) at the destination, the ttl or the first node
-    where no allowed port is alive. With the table port alone allowed
-    (`table_bit`) this is NF, and every strategy takes these hops, so the
-    others continue from a no-egress stop (code 1). With every descending
-    port allowed (`desc`) it is LFA, since the table port is the first
-    descending port."""
-    while rel:  # relative index 0 is the destination
-        if hops >= ttl:
-            return 2, at, rel, hops
-        d = _FIRST_PORT[ports[at] & allowed[rel]]
-        if d < 0:
-            return 1, at, rel, hops
-        if trace is not None:
-            trace.append(at << 3 | d << 1)
-        at = nbr[4 * at + d]
-        rel = nbr[4 * rel + d]
-        hops += 1
-    return 0, at, rel, hops
+def _continue(method, starts, nbr, tables, sst: int, ttl: int, traces):
+    """Route every start (port mask bytes, node, relative index, hops) on
+    with `method`. Returns lists of codes, hops and reverse hops, one entry
+    per start, and with `traces` (one list per start holding its prefix,
+    which the route extends) one annihilation point list per start.
 
-
-def _continue(method, stops, nbr, tables, sst: int, ttl: int, traces):
-    """Route on with `method`, LFA or reverse flow, from every NF-prefix
-    stop (port mask bytes, node, relative index, hops) at a dead table
-    port. Returns lists of codes, hops and reverse hops, one entry per
-    stop, and with `traces`, one trace list per stop holding its prefix,
-    which the route extends, the stops' annihilation point lists (None for
-    LFA or untraced).
-
-    Reverse flow alternates a normal-mode loop, which follows the table
-    while its port is up, with a reverse-mode loop from a generation at a
-    dead table port to the annihilation where the table egress differs
-    from the ingress again. Brent's cycle detection runs over generations
-    and policy switches, keyed by (node, policy): a generation needs the
-    table port dead and a switch needs it alive as the ingress, so the node
-    fixes which event it is and the key fixes the rest of the route. Every
-    cycle holds an event, since normal mode strictly descends and an
-    endless reverse run must switch. A repeat skips whole periods, traced
-    or not, copying the period's trace and annihilation entries."""
-    nxt, down, desc = tables[1], tables[2], tables[3]
+    A normal-mode loop follows the table while its port is up. At a dead
+    table port NF drops; LFA takes the first alive descending port and
+    stays in normal mode, dropping when there is none; reverse flow runs a
+    reverse-mode loop from the generation to the annihilation where the
+    table egress differs from the ingress again. Brent's cycle detection
+    runs over generations and policy switches, keyed by (node, policy): a
+    generation needs the table port dead and a switch needs it alive as
+    the ingress, so the node fixes which event it is and the key fixes the
+    rest of the route. Every cycle holds an event, since normal mode
+    strictly descends and an endless reverse run must switch. A repeat
+    skips whole periods, traced or not, copying the period's trace and
+    annihilation entries."""
+    nxt, desc = tables[1], tables[3]
     record = traces is not None
-    codes, hop_counts, rev_counts, annihs = [], [], [], []
-    if method is Method.LFA:
-        for i, (ports, at, rel, hops) in enumerate(stops):
-            code, _, _, hops = _descend(
-                ports, nbr, desc, at, rel, hops, ttl, traces[i] if record else None
-            )
-            codes.append(code)
-            hop_counts.append(hops)
-        return codes, hop_counts, [0] * len(stops), None
+    lfa = method is Method.LFA
+    reverse = method is Method.RF_CF or method is Method.RF_LF
     start_policy = 0 if method is Method.RF_CF else 1
-    for i, (ports, at, rel, hops) in enumerate(stops):
+    codes, hop_counts, rev_counts, annihs = [], [], [], []
+    for i, (ports, at, rel, hops) in enumerate(starts):
         trace = traces[i] if record else None
         annih = [] if record else None
         policy, rev_hops = start_policy, 0
@@ -211,16 +185,20 @@ def _continue(method, stops, nbr, tables, sst: int, ttl: int, traces):
             while rel and hops < ttl:  # normal mode
                 d = nxt[rel]
                 if not ports[at] >> d & 1:
-                    break
+                    if not lfa:
+                        break
+                    d = _FIRST_PORT[ports[at] & desc[rel]]
+                    if d < 0:
+                        break
                 if record:
                     trace.append(at << 3 | d << 1)
                 at = nbr[4 * at + d]
-                rel = down[rel]
+                rel = nbr[4 * rel + d]
                 hops += 1
             else:
                 code = 2 if rel else 0
                 break
-            d = _EGRESS[ports[at] << 3 | d << 1 | policy]  # generation
+            d = _EGRESS[ports[at] << 3 | d << 1 | policy] if reverse else -1  # generation
             if d < 0:
                 code = 1
                 break
@@ -282,12 +260,13 @@ def _route_stack(ports, rep, srcs, dsts, rows: int, cols: int, methods, sst: int
     annihilation point sequence per packet.
 
     Until the first dead table port every method takes NF's hops, so the
-    table paths of all packets are stepped once, in lockstep with numpy
-    (_descend's walk with the table port allowed), and one _continue call
-    per other method routes on from every packet stopped at a dead table
-    port. With `record` each step keeps its packets and hop codes; a
-    stable sort on the packet index puts each packet's codes in step
-    order, and every continuation extends its own copy of that prefix."""
+    table paths of all packets are stepped once, in lockstep with numpy,
+    and NF's routes end there. One _continue call per other method routes
+    on from every packet stopped at a dead table port. With `record` each
+    step keeps its packets and hop codes; a stable sort on the packet
+    index puts each packet's codes in step order, and every continuation
+    extends its own copy of that prefix and returns its annihilation
+    points."""
     nxt, down = _base_arrays(rows, cols)[1:3]
     nbr = _neighbor_indices(rows, cols).ravel()
     flat, base = ports.ravel(), rep * (rows * cols)
@@ -339,7 +318,7 @@ def _route_stack(ports, rep, srcs, dsts, rows: int, cols: int, methods, sst: int
         if record:
             for j, k in enumerate(stopped.tolist()):
                 traces[mi][k] = seeded[j]
-                annihs[mi][k] = ann[j] if ann else ()
+                annihs[mi][k] = ann[j]
     if record:
         return codes, hop_counts, rev, traces, annihs
     return codes, hop_counts, rev
@@ -375,15 +354,10 @@ def route_packet(
     nbr, tables = _neighbor_table(rows, cols), _base_tables(rows, cols)
     s, t = topo.node_index(src), topo.node_index(dst)
     trace = [] if record_trace else None
-    code, at, rel, hops = _descend(
-        ports, nbr, tables[4], s, _relative_index(rows, cols, s, t), 0, cfg.ttl, trace
+    (code,), (hops,), (rev_hops,), annihs = _continue(
+        method, [(ports, s, _relative_index(rows, cols, s, t), 0)], nbr, tables,
+        cfg.sst, cfg.ttl, None if trace is None else [trace],
     )
-    rev_hops, annihs = 0, None
-    if code == 1 and method is not Method.NF:
-        (code,), (hops,), (rev_hops,), annihs = _continue(
-            method, [(ports, at, rel, hops)], nbr, tables, cfg.sst, cfg.ttl,
-            None if trace is None else [trace],
-        )
     records = ()
     if trace:
         node_at = topo.node_at
@@ -398,5 +372,5 @@ def route_packet(
         total_hops=hops,
         reverse_hops=rev_hops,
         used_reverse=rev_hops > 0,
-        annihilation_points=tuple(map(topo.node_at, annihs[0])) if annihs else (),
+        annihilation_points=tuple(map(topo.node_at, annihs[0])) if record_trace else (),
     )

@@ -46,21 +46,21 @@ def _base_arrays(rows: int, cols: int):
     index relative to the destination (_relative_index): the potential
     `phi`; the table egress `nxt`, the first port in N, E, S, W order
     whose neighbor lies one step closer, -1 at the destination; `down`,
-    the relative index of the table neighbor, 0 at the destination; `desc`,
-    with bit d set when port d lowers the potential; and `table_bit`, the
-    egress as a one-bit port mask, 0 at the destination."""
+    the relative index of the table neighbor, 0 at the destination; and
+    `desc`, with bit d set when port d lowers the potential, 0 at the
+    destination. So the table port is the lowest bit of `desc`, and LFA's
+    first alive descending port is the table port whenever that is up."""
     phi = _base_grid(rows, cols).ravel()
     nbr = _neighbor_indices(rows, cols)
     lower = phi[nbr] < phi[:, None]  # adjacent potentials differ by one
     desc = lower.astype(np.intp) @ (1 << np.arange(4))
-    table_bit = desc & -desc  # the table port is the first descending one
     nxt = lower.argmax(axis=1)
     nxt[0] = -1
     down = nbr[np.arange(rows * cols), nxt]
     down[0] = 0
-    for table in (nxt, down, desc, table_bit):
+    for table in (nxt, down, desc):
         table.flags.writeable = False
-    return phi, nxt, down, desc, table_bit
+    return phi, nxt, down, desc
 
 
 @functools.lru_cache(maxsize=None)

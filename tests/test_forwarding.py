@@ -17,7 +17,6 @@ from torusflow.forwarding import (
     _EGRESS,
     _VERDICTS,
     _continue,
-    _descend,
     _route_stack,
     default_engine_config,
     route_packet,
@@ -587,14 +586,15 @@ def port_stack(scenarios):
 
 def test_continue_batch_matches_reference():
     """Several bond and site scenarios, stacked one per row, route at once:
-    through one _continue call per method and engine config from the
-    NF-prefix stops, untraced and with each trace seeded with its stop's
-    prefix, and through one _route_stack call for every method, traced and
-    untraced. Every route must equal the reference route from its pair's
-    source, so no policy, loop or trace state may leak from one packet into
-    the next, and the traced stack must assemble each packet's table-path
-    prefix from the lockstep steps in hop order; the batch holds ttl drops
-    and dead ends among routes that deliver."""
+    through one _continue call per method and engine config, from every
+    pair's source for all four methods and from the NF stops at a dead
+    table port for the other three, untraced and with each trace seeded
+    with its start's prefix, and through one _route_stack call for every
+    method, traced and untraced. Every route must equal the reference
+    route from its pair's source, so no policy, loop or trace state may
+    leak from one packet into the next, and the traced stack must assemble
+    each packet's table-path prefix from the lockstep steps in hop order;
+    the batch holds ttl drops and dead ends among routes that deliver."""
     rng = random.Random(1515)
     methods = (Method.LFA, Method.RF_CF, Method.RF_LF)
     for rows, cols in ((16, 16), (8, 8), (5, 7)):
@@ -614,6 +614,8 @@ def test_continue_batch_matches_reference():
         rep, srcs, dsts = (np.array(x) for x in zip(*(
             (b, topo.node_index(src), topo.node_index(dst))
             for b, _, _, src, dst in pairs)))
+        sources = [(scen._port_mask, s, _relative_index(rows, cols, s, t), 0)
+                   for (_, scen, *_), s, t in zip(pairs, srcs.tolist(), dsts.tolist())]
 
         def hop(c):
             return (topo.node_at(c >> 3), topo.node_at(nbr[c >> 1]),
@@ -623,34 +625,36 @@ def test_continue_batch_matches_reference():
                     EngineConfig(3, 17)):
             wants = [[ref.run(net, m.value, src, dst, cfg.sst, cfg.ttl)
                       for _, _, net, src, dst in pairs] for m in ALL_METHODS]
-            stops, prefixes, stopped = [], [], []
-            for k, (_, scen, _, src, dst) in enumerate(pairs):
-                s, t = topo.node_index(src), topo.node_index(dst)
-                prefix = []
-                code, at, rel, hops = _descend(
-                    scen._port_mask, nbr, tables[4], s, _relative_index(rows, cols, s, t),
-                    0, cfg.ttl, prefix,
-                )
-                if code != 1:
-                    continue
-                stops.append((scen._port_mask, at, rel, hops))
-                prefixes.append(prefix)
-                stopped.append(k)
-            seen = set()
-            for m in methods:
-                bare = _continue(m, stops, nbr, tables, cfg.sst, cfg.ttl, None)
+
+            def check(m, starts, prefixes, ks):
+                """Route `starts` with `m`, bare and traced, against the
+                reference routes of pairs `ks`; returns the codes seen."""
+                bare = _continue(m, starts, nbr, tables, cfg.sst, cfg.ttl, None)
                 traces = [prefix[:] for prefix in prefixes]
-                full = _continue(m, stops, nbr, tables, cfg.sst, cfg.ttl, traces)
+                full = _continue(m, starts, nbr, tables, cfg.sst, cfg.ttl, traces)
                 assert bare[:3] == full[:3] and bare[3] is None, (rows, m, cfg)
-                annihs = full[3] or [[]] * len(stops)
-                for j, k in enumerate(stopped):
+                for j, k in enumerate(ks):
                     want = wants[ALL_METHODS.index(m)][k]
-                    where = (rows, cols, m, cfg, j)
+                    where = (rows, cols, m, cfg, k)
                     assert (_VERDICTS[bare[0][j]].value, bare[1][j], bare[2][j]) == (
                         want["verdict"], want["hops"], want["reverse_hops"]), where
                     assert list(map(hop, traces[j])) == want["trace"], where
-                    assert list(map(topo.node_at, annihs[j])) == want["annihilations"], where
-                seen.update(bare[0])
+                    assert list(map(topo.node_at, full[3][j])) == want["annihilations"], where
+                return set(bare[0])
+
+            for m in ALL_METHODS:
+                check(m, sources, [[] for _ in pairs], range(len(pairs)))
+            nf_traces = [[] for _ in pairs]
+            nf = _continue(Method.NF, sources, nbr, tables, cfg.sst, cfg.ttl, nf_traces)
+            stopped = [k for k, c in enumerate(nf[0]) if c == 1]
+            stops = []
+            for k in stopped:
+                mask, s = sources[k][:2]
+                at = nbr[nf_traces[k][-1] >> 1] if nf_traces[k] else s
+                stops.append((mask, at, _relative_index(rows, cols, at, int(dsts[k])), nf[1][k]))
+            seen = set()
+            for m in methods:
+                seen |= check(m, stops, [nf_traces[k] for k in stopped], stopped)
             assert seen == {0, 1, 2}, (rows, cfg, seen)
 
             args = (ports, rep, srcs, dsts, rows, cols, ALL_METHODS, cfg.sst, cfg.ttl)

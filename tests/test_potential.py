@@ -73,24 +73,25 @@ def bfs_tables(nbrs, dest_index):
 def test_dest_tables_match_bfs_oracle_on_every_shape():
     """The base lists, read through each node's relative index, give every
     destination's BFS tables; `down` is the table neighbor's relative
-    index, `desc` has bit d set exactly when port d lowers the BFS
-    potential, and `table_bit` is the table port's bit."""
+    index, and `desc` has bit d set exactly when port d lowers the BFS
+    potential, with the table port as its lowest bit, which LFA's
+    fallback to the first alive descending port needs."""
     for rows in range(3, 14):
         for cols in range(3, 14):
             n = rows * cols
             nbrs = neighbor_indices(build_torus(rows, cols))
-            phi, nxt, down, desc, table_bit = _base_tables(rows, cols)
+            phi, nxt, down, desc = _base_tables(rows, cols)
             for dest_index in range(n):
                 rel = [_relative_index(rows, cols, v, dest_index) for v in range(n)]
                 got = ([phi[r] for r in rel], [nxt[r] for r in rel])
                 assert got == bfs_tables(nbrs, dest_index), (rows, cols, dest_index)
-            assert desc[0] == table_bit[0] == 0
+            assert desc[0] == 0
             want_phi = bfs_tables(nbrs, 0)[0]
             for v in range(1, n):
                 assert down[v] == nbrs[v][nxt[v]], (rows, cols, v)
                 lower = [want_phi[u] < want_phi[v] for u in nbrs[v]]
                 assert desc[v] == sum(1 << d for d in range(4) if lower[d])
-                assert table_bit[v] == 1 << nxt[v], (rows, cols, v)
+                assert desc[v] & -desc[v] == 1 << nxt[v], (rows, cols, v)
 
 
 def test_routing_to_every_64x64_destination_retains_little_memory():
