@@ -6,10 +6,12 @@ so per-replicate differences between methods are paired. Replicates are
 keyed by (p_index, replicate_index) and seeded independently of execution
 order, which makes sweeps reproducible and safe to parallelize.
 
-Replicates of one p are routed a block at a time. Each replicate draws its
-scenario and pairs from two generators seeded from its own cell key, and
-the block turns all of those draws into stacked port masks and node
-indices in one pass (_block_inputs). It labels the components of every
+Replicates of one p are routed a block at a time. Each replicate has two
+seeds derived from its own cell key, one for its failure draw and one for
+its traffic draw, and the streams they seed are NumPy's default_rng
+streams. The block seeds all of its streams in one pass, draws each kind
+in one array pass (torusflow.streams), and turns the draws into stacked
+port masks and node indices (_block_inputs). It labels the components of every
 scenario in one pass over the stack, routes every packet with every
 method in one forwarding._route_stack call, traced for the trace dump,
 and tallies every replicate with bincounts over the replicate index. A
@@ -34,6 +36,7 @@ from .topology import (
     _stack_labels,
     build_torus,
 )
+from .streams import Integers, seeded
 
 _MASK64 = (1 << 64) - 1
 _SCENARIO_SALT = 0x9E3779B97F4A7C15
@@ -51,10 +54,11 @@ def _mix64(x: int) -> int:
 
 def seed_for(master_seed: int, p_index: int, replicate_index: int) -> int:
     """Deterministic per-replicate seed, distinct across (p_index,
-    replicate_index) cells for any fixed master seed (indices < 2**32)."""
-    if p_index < 0 or replicate_index < 0:
-        raise ValueError("indices must be non-negative")
-    cell = ((p_index & 0xFFFFFFFF) << 32) | (replicate_index & 0xFFFFFFFF)
+    replicate_index) cells for any fixed master seed. Raises ValueError
+    for an index outside [0, 2**32), which would alias another cell."""
+    if not (0 <= p_index < 1 << 32 and 0 <= replicate_index < 1 << 32):
+        raise ValueError("indices must lie in [0, 2**32)")
+    cell = p_index << 32 | replicate_index
     return _mix64(_mix64(master_seed) ^ cell)
 
 
@@ -123,39 +127,43 @@ class ReplicateResult:
 
 def _block_inputs(config: ExperimentConfig, p: float, p_index: int, replicate_indices):
     """Scenarios and pairs of the given replicates of one p. Each replicate
-    seeds two generators from its cell key. The scenario generator makes
-    the failure draw (topology._draw_bytes). The traffic generator draws
-    uniform src and dst batches over the alive nodes, both batches first,
-    then redraws each src == dst collision in packet order until the
+    derives a scenario seed and a traffic seed from its cell key. The
+    scenario seeds make the failure draw (topology._draw_bytes). Each
+    traffic stream, as default_rng(traffic seed).integers would draw it,
+    gives uniform src and dst batches over the alive nodes, both batches
+    first, then redraws each src == dst collision in packet order until the
     endpoints differ; it draws nothing when fewer than two nodes are alive,
-    and that replicate gets no pairs. Returns the (B, n) port mask and node
+    and that replicate gets no pairs. One streams.seeded pass seeds every
+    stream of the block, and every replicate's batches come from one
+    streams.Integers array pass. Returns the (B, n) port mask and node
     byte arrays, each packet's position in the block and its src and dst
     node indices, in replicate then pair order, and the scenario seeds."""
     topo = build_torus(config.rows, config.cols)
     n, packets = topo.num_nodes, config.packets_per_replicate
     seeds = [seed_for(config.master_seed, p_index, ri) for ri in replicate_indices]
     scenario_seeds = [_mix64(seed ^ _SCENARIO_SALT) for seed in seeds]
-    ports, alive = _draw_bytes(topo, config.mode, p, scenario_seeds)
+    traffic_seeds = [_mix64(seed ^ _TRAFFIC_SALT) for seed in seeds]
+    streams = seeded(scenario_seeds + traffic_seeds)  # scenario rows first
+    count = len(seeds)
+    ports, alive = _draw_bytes(topo, config.mode, p, streams[:, :count])
     sizes = alive.sum(axis=1).tolist()
     first = np.cumsum([0, *sizes])  # each replicate's start in `nodes`
     nodes = np.flatnonzero(alive)  # stack index of every alive node
-    rngs = {
-        b: np.random.default_rng(_mix64(seed ^ _TRAFFIC_SALT))
-        for b, (seed, size) in enumerate(zip(seeds, sizes)) if size >= 2
-    }
-    # per replicate with pairs, its src batch, then its dst batch, drawn in
-    # one call, which yields the same numbers as one call per batch
-    draws = np.array(
-        [rng.integers(0, sizes[b], size=2 * packets) for b, rng in rngs.items()],
-        dtype=np.intp,
-    ).reshape(-1, 2, packets)
-    rep = np.repeat(np.fromiter(rngs, np.intp, len(rngs)), packets)
+    paired = [b for b, size in enumerate(sizes) if size >= 2]
+    # per replicate with pairs, its src batch, then its dst batch, drawn as
+    # one stream of 2 * packets, which yields the same numbers as one
+    # integers() call per batch
+    traffic = Integers(
+        streams[:, [count + b for b in paired]], [sizes[b] for b in paired], 2 * packets
+    )
+    draws = traffic.first.reshape(-1, 2, packets)
+    rep = np.repeat(np.array(paired, dtype=np.intp), packets)
     srcs = nodes[first[rep] + draws[:, 0].ravel()]
     dsts = nodes[first[rep] + draws[:, 1].ravel()]
     for k in np.flatnonzero(srcs == dsts).tolist():
-        b = int(rep[k])
+        row = k // packets
         while dsts[k] == srcs[k]:
-            dsts[k] = nodes[first[b] + rngs[b].integers(0, sizes[b])]
+            dsts[k] = nodes[first[paired[row]] + traffic.draw(row)]
     return ports, alive, rep, srcs - rep * n, dsts - rep * n, scenario_seeds
 
 

@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .streams import seeded, uniforms
+
 NodeId = tuple[int, int]
 LinkId = tuple[NodeId, "Direction"]
 
@@ -235,16 +237,15 @@ def _scenario_bytes(topo: TorusTopology, dead_e, dead_s, dead_nodes):
     return mask, (~dead_nodes).view(np.uint8)
 
 
-def _draw_bytes(topo: TorusTopology, mode: FailureMode, p: float, seeds):
-    """_scenario_bytes of one failure draw per seed, row b from a generator
-    seeded with seeds[b]: one uniform per link in all_links order (bond) or
-    per node (site), and the link or node fails when its uniform is below p."""
+def _draw_bytes(topo: TorusTopology, mode: FailureMode, p: float, streams):
+    """_scenario_bytes of one failure draw per seeded stream (streams.seeded):
+    row b takes the uniforms that NumPy's default_rng(seeds[b]).random()
+    would draw, one per link in all_links order (bond) or per node (site),
+    and the link or node fails when its uniform is below p. Every row comes
+    from one streams.uniforms array pass."""
     _check_p(p)
     n = topo.num_nodes
-    uniforms = np.empty((len(seeds), topo.num_links if mode is FailureMode.BOND else n))
-    for row, seed in zip(uniforms, seeds):
-        np.random.default_rng(seed).random(out=row)
-    dead = uniforms < p
+    dead = uniforms(streams, topo.num_links if mode is FailureMode.BOND else n) < p
     if mode is FailureMode.BOND:
         dead = dead.reshape(-1, n, 2)
         return _scenario_bytes(topo, dead[..., 0], dead[..., 1], np.zeros_like(dead[..., 0]))
@@ -253,15 +254,17 @@ def _draw_bytes(topo: TorusTopology, mode: FailureMode, p: float, seeds):
 
 
 def apply_bond_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
-    """Fail each link independently with probability p."""
-    mask, nodes = _draw_bytes(topo, FailureMode.BOND, p, [seed])
+    """Fail each link independently with probability p. Raises ValueError
+    for a seed that is not a non-negative integer."""
+    mask, nodes = _draw_bytes(topo, FailureMode.BOND, p, seeded([seed]))
     return FailureScenario(topo, FailureMode.BOND, p, seed, mask.tobytes(), nodes.tobytes())
 
 
 def apply_site_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
     """Fail each node independently with probability p; a dead node takes
-    all four incident links with it."""
-    mask, nodes = _draw_bytes(topo, FailureMode.SITE, p, [seed])
+    all four incident links with it. Raises ValueError for a seed that is
+    not a non-negative integer."""
+    mask, nodes = _draw_bytes(topo, FailureMode.SITE, p, seeded([seed]))
     return FailureScenario(topo, FailureMode.SITE, p, seed, mask.tobytes(), nodes.tobytes())
 
 

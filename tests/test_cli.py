@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -371,3 +374,23 @@ def test_main_end_to_end(tmp_path, capsys):
     assert (tmp_path / "aggregate.csv").exists()
     assert (tmp_path / "fig4.csv").exists()
     assert (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--dump-traces"]], ids=["plain", "traces"])
+def test_cli_never_loads_numpy_random(tmp_path, extra):
+    """The sweep's streams come from torusflow.streams. A CLI run must not
+    import NumPy's random package, nor the hashlib and OpenSSL modules
+    that it pulls in; together they cost megabytes of resident memory."""
+    argv = ["--rows", "4", "--cols", "4", "--p", "0.0,0.2", "--replicates", "3",
+            "--packets-per-replicate", "6", "--out-dir", str(tmp_path), *extra]
+    script = (
+        "import sys\n"
+        "from torusflow.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted({'numpy.random', 'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "aggregate.csv").exists()

@@ -71,6 +71,16 @@ def test_seed_for_rejects_negative_indices():
         seed_for(0, 0, -1)
 
 
+def test_seed_for_rejects_indices_past_32_bits():
+    """Cell keys pack both indices into 64 bits, so an index of 2**32
+    would alias index 0."""
+    last = 2**32 - 1
+    assert len({seed_for(0, i, j) for i in (0, last) for j in (0, last)}) == 4
+    for p_index, replicate_index in ((2**32, 0), (0, 2**32), (2**40, 2**40)):
+        with pytest.raises(ValueError):
+            seed_for(0, p_index, replicate_index)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
