@@ -248,7 +248,6 @@ def emit_traces(config: ExperimentConfig, path: str):
     each line joined from text tables keyed by hop code (see the routing
     loops in forwarding) and by 4 * relative index + port. Returns the
     sweep's results, equal to run_sweep(config)."""
-    engine = config.resolved_engine()
     rows, cols = config.rows, config.cols
     phi = _base_tables(rows, cols)[0]
     nbr = _neighbor_table(rows, cols)
@@ -260,8 +259,7 @@ def emit_traces(config: ExperimentConfig, path: str):
     phi_text = np.array([  # phi_from,phi_to
         f"{phi[i >> 2]},{phi[nbr[i]]}\n" for i in range(4 * rows * cols)
     ], dtype=object)
-    # no trace is longer than the ttl
-    index_text = np.array([f"{i}," for i in range(engine.ttl)], dtype=object)
+    index_text = np.array([], dtype=object)  # hop indices, grown to the longest trace
     tails = np.array([f"{k},{m.name}," for k in range(config.packets_per_replicate)
                       for m in config.methods], dtype=object)  # packet,method,
     results = []
@@ -277,6 +275,9 @@ def emit_traces(config: ExperimentConfig, path: str):
                 traces = [t[k] for k in range(first, last) for t in by_method]
                 lengths = np.fromiter(map(len, traces), np.intp, len(traces))
                 total = int(lengths.sum())
+                longest = int(lengths.max(initial=0))
+                if longest > len(index_text):
+                    index_text = np.array([f"{i}," for i in range(longest)], dtype=object)
                 codes = np.fromiter(chain.from_iterable(traces), np.intp, total)
                 step = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
                 dst = np.repeat(np.repeat(block_dsts[first:last], len(by_method)), lengths)

@@ -14,9 +14,12 @@ in one array pass (torusflow.streams), and turns the draws into stacked
 port masks and node indices (_block_inputs). It labels the components of every
 scenario in one pass over the stack, routes every packet with every
 method in one forwarding._route_stack call, traced for the trace dump,
-and tallies every replicate with bincounts over the replicate index. A
-block stacks at most _BLOCK_NODES nodes, so memory stays bounded on
-large tori, and no result depends on where blocks split.
+and takes every replicate's result from one _cell_tallies call, which
+counts and sums over (replicate, method) cells. A replicate with fewer than
+two alive nodes routes no packets and is tallied like any other, its
+packets all dropped as structurally unreachable. A block stacks at most
+_BLOCK_NODES nodes, so memory stays bounded on large tori, and no result
+depends on where blocks split. The master seed lies in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ _BLOCK_NODES = 1 << 14  # most scenario nodes stacked into one routed block
 
 def _mix64(x: int) -> int:
     """splitmix64 finalizer; a bijection on 64-bit integers."""
-    x &= _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
@@ -55,7 +57,10 @@ def _mix64(x: int) -> int:
 def seed_for(master_seed: int, p_index: int, replicate_index: int) -> int:
     """Deterministic per-replicate seed, distinct across (p_index,
     replicate_index) cells for any fixed master seed. Raises ValueError
-    for an index outside [0, 2**32), which would alias another cell."""
+    for a master seed outside [0, 2**64) or an index outside [0, 2**32),
+    which would alias another seed or cell."""
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed {master_seed!r} outside [0, 2**64)")
     if not (0 <= p_index < 1 << 32 and 0 <= replicate_index < 1 << 32):
         raise ValueError("indices must lie in [0, 2**32)")
     cell = p_index << 32 | replicate_index
@@ -76,6 +81,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         build_torus(self.rows, self.cols)
+        seed_for(self.master_seed, 0, 0)  # rejects a master seed outside [0, 2**64)
         if not self.p_values:
             raise ValueError("p_values must not be empty")
         for p in self.p_values:
@@ -188,86 +194,71 @@ def replicate_inputs(
 def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_indices,
                  record: bool = False):
     """Results of the given replicates of one p, routed together as the
-    module docstring describes. With `record` also each packet's replicate
-    and dst node indices and, per method, each packet's trace."""
+    module docstring describes: draw, label, route, tally. With `record`
+    also each packet's replicate and dst node indices and, per method,
+    each packet's trace."""
     rows, cols = config.rows, config.cols
     n = rows * cols
-    count = len(replicate_indices)
     ports, alive, rep, srcs, dsts, _ = _block_inputs(config, p, p_index, replicate_indices)
     labels = _stack_labels(rows, cols, ports.ravel(), alive.ravel())
-    cc_fraction = _largest_component_fractions(labels, n)
-
-    # one entry per packet of the block, in replicate then pair order
-    base = rep * n
-    split = labels[base + srcs] != labels[base + dsts]
-    unreachable = np.bincount(rep[split], minlength=count).tolist()
-
     engine = config.resolved_engine()
-    methods = config.methods
     routed = _route_stack(
-        ports, rep, srcs, dsts, rows, cols, methods, engine.sst, engine.ttl, record
+        ports, rep, srcs, dsts, rows, cols, config.methods, engine.sst, engine.ttl, record
     )
-
-    tallies = _cell_tallies(count, rep, *routed[:3])
-    packets = config.packets_per_replicate
-    results = []
-    paired = np.bincount(rep, minlength=count).tolist()
-    for b, ri in enumerate(replicate_indices):
-        if paired[b]:
-            by_method = {m: tallies[mi * count + b] for mi, m in enumerate(methods)}
-        else:
-            # not enough survivors to form a pair; every notional packet is
-            # structurally undeliverable
-            unreachable[b] = packets
-            dead_tally = MethodTally(dropped_unreachable_dest=packets)
-            by_method = {m: dead_tally for m in methods}
-        results.append(ReplicateResult(
+    split = labels[rep * n + srcs] != labels[rep * n + dsts]
+    results = [
+        ReplicateResult(
             p=p,
             p_index=p_index,
             replicate_index=ri,
-            n_packets=packets,
-            tallies=by_method,
-            largest_cc_fraction=cc_fraction[b],
-            structurally_unreachable_pairs=unreachable[b],
-        ))
-    if record:
-        return results, rep, dsts, routed[3]
-    return results
+            n_packets=config.packets_per_replicate,
+            tallies=tallies,
+            largest_cc_fraction=cc,
+            structurally_unreachable_pairs=unreachable,
+        )
+        for ri, cc, (tallies, unreachable) in zip(
+            replicate_indices,
+            _largest_component_fractions(labels, n),
+            _cell_tallies(config, len(replicate_indices), rep, split, *routed[:3]),
+        )
+    ]
+    return (results, rep, dsts, routed[3]) if record else results
 
 
-def _cell_tallies(count: int, rep, codes, hops, rev) -> list[MethodTally]:
-    """One MethodTally per (method, replicate) cell of a block, at index
-    mi * count + replicate, from (methods, packets) arrays of verdict
-    codes, hops and reverse hops and the packets' replicate indices."""
-    cells = codes.shape[0] * count
-    key = np.arange(codes.shape[0])[:, None] * count + rep
+def _cell_tallies(config: ExperimentConfig, count: int, rep, split, codes, hops, rev):
+    """Every replicate's result in a block of `count` replicates: per
+    replicate, a {method: MethodTally} dict and its structurally
+    unreachable count. The inputs are (methods, packets) arrays of verdict
+    codes, hops and reverse hops, each packet's replicate index, and its
+    split flag (src and dst in different components). Every field is
+    counted, summed or maximized per (replicate, method) cell, in one
+    array. A replicate with fewer than two alive nodes routed no packets:
+    its row is all zeros but for its missing packets, each dropped as
+    unreachable and counted structurally unreachable."""
+    width = len(config.methods)
+    cells = count * width
+    key = rep * width + np.arange(width)[:, None]
     by_code = np.bincount(
         (codes.astype(np.intp) * cells + key).ravel(), minlength=3 * cells
-    )
+    ).reshape(3, count, width)
+    missing = config.packets_per_replicate - by_code[:, :, 0].sum(axis=0)
     ok = codes == 0
     key, hops, rev = key[ok], hops[ok], rev[ok]
-    hop_sum = np.zeros(cells, dtype=np.int64)
-    np.add.at(hop_sum, key, hops)
-    rev_sum = np.zeros(cells, dtype=np.int64)
-    np.add.at(rev_sum, key, rev)
-    hop_max = np.full(cells, -1, dtype=np.int64)
-    np.maximum.at(hop_max, key, hops)
-    with_rev = np.bincount(key[rev > 0], minlength=cells)
+    delivered = np.zeros((3, cells), dtype=np.int64)  # hops, reverse hops, most hops
+    for row, ufunc, values in zip(delivered, (np.add, np.add, np.maximum), (hops, rev, hops)):
+        ufunc.at(row, key, values)
+    # MethodTally's fields in order, as one (count, width, 8) table
+    table = np.stack([
+        *by_code,
+        np.broadcast_to(missing[:, None], (count, width)),
+        np.bincount(key[rev > 0], minlength=cells).reshape(count, width),
+        *delivered.reshape(3, count, width),
+    ], axis=-1)
+    unreachable = np.bincount(rep[split], minlength=count) + missing
     return [
-        MethodTally(
-            delivered=delivered,
-            dropped_no_egress=no_egress,
-            dropped_ttl=ttl_drop,
-            dropped_unreachable_dest=0,
-            delivered_with_reverse=with_reverse,
-            total_hops_delivered=total,
-            reverse_hops_delivered=reverse,
-            max_hops_delivered=worst if worst >= 0 else None,
-        )
-        for delivered, no_egress, ttl_drop, with_reverse, total, reverse, worst in zip(
-            *by_code.reshape(3, cells).tolist(),
-            *(a.tolist() for a in (with_rev, hop_sum, rev_sum, hop_max)),
-        )
+        ({m: MethodTally(*row[:7], max_hops_delivered=row[7] if row[0] else None)
+          for m, row in zip(config.methods, by_method)}, unreached)
+        for by_method, unreached in zip(table.tolist(), unreachable.tolist())
     ]
 
 

@@ -108,23 +108,14 @@ def seeded(seeds) -> np.ndarray:
 def _jumps(count: int):
     """Read-only uint64 rows (a_hi, a_lo, c_hi, c_lo) over k = 1 .. count:
     output k's state is a * initstate + c * inc mod 2**128, with
-    a = MULT**(k+1) and c = the sum of MULT**i over i < k + 2. Rows k + m
-    come from rows k, for m = 1, 2, 4, ...: a times MULT**m, and c times
-    MULT**m plus the sum of MULT**i over i < m."""
+    a = MULT**(k+1) and c = the sum of MULT**i over i < k + 2, so row
+    k + 1 is (a * MULT, c * MULT + 1) mod 2**128."""
     a, c = _PCG_MULT**2 & _MASK128, (1 + _PCG_MULT + _PCG_MULT**2) & _MASK128
-    table = np.zeros((4, max(count, 1), 1), dtype=np.uint64)  # columns, as _mul_add's x
-    table[:, 0, 0] = np.array([a >> 64, a & _MASK64, c >> 64, c & _MASK64], dtype=np.uint64)
-    power, total, m = _PCG_MULT, 1, 1  # MULT**m and the sum of MULT**i over i < m
-    while m < count:
-        step = min(m, count - m)
-        mult = np.array([[power >> 64], [power & _MASK64]], dtype=np.uint64)
-        new = table[:, m : m + step]
-        new[2:] = np.array([[total >> 64], [total & _MASK64]], dtype=np.uint64)[:, :, None]
-        scratch = np.empty((2, step, 1), dtype=np.uint64)
-        _mul_add(*mult, *table[:2, :step], *new[:2], *scratch)
-        _mul_add(*mult, *table[2:, :step], *new[2:], *scratch)
-        power, total, m = power * power & _MASK128, total * (1 + power) & _MASK128, 2 * m
-    table = table[:, :count, 0]
+    rows = bytearray()  # a then c per k, 32 big-endian bytes
+    for _ in range(count):
+        rows += (a << 128 | c).to_bytes(32, "big")
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    table = np.frombuffer(rows, dtype=">u8").reshape(-1, 4).T.astype(np.uint64, order="C")
     table.flags.writeable = False
     return table
 

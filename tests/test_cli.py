@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,8 @@ def test_parse_args_rejections():
         ["--replicates", "0"],
         ["--packets-per-replicate", "0"],
         ["--workers", "0"],
+        ["--seed", "-1"],  # a master seed outside [0, 2**64) aliases another
+        ["--seed", str(2**64)],
     ]
     for argv in bad_argvs:
         with pytest.raises(SystemExit):
@@ -192,6 +195,17 @@ def test_no_temp_residue(tmp_path):
     run_experiment(config, micro_options(tmp_path, figures=("fig4",)))
     leftovers = [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_failed_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "aggregate.csv"
+    path.write_text("earlier\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with cli._atomic_open(str(path)) as handle:
+            handle.write("partial")
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"earlier\n"
+    assert os.listdir(tmp_path) == ["aggregate.csv"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
@@ -325,6 +339,22 @@ def test_trace_dump_matches_independent_rendering(tmp_path, rows, cols, p_values
     assert path.read_text() == want
     if sst is not None:
         assert looped > 0
+
+
+def test_trace_dump_memory_does_not_grow_with_the_ttl(tmp_path):
+    """Fault-free routes are a few hops long whatever the ttl, and so is
+    the dump's hop index table."""
+    config = micro_config(p_values=(0.0,), replicates=1, packets_per_replicate=5)
+    emit_traces(config, str(tmp_path / "default.csv"))
+    long_ttl = dataclasses.replace(config, engine=EngineConfig(sst=8, ttl=500_000))
+    tracemalloc.start()
+    try:
+        emit_traces(long_ttl, str(tmp_path / "long.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("overrides", [

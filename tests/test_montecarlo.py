@@ -81,6 +81,15 @@ def test_seed_for_rejects_indices_past_32_bits():
             seed_for(0, p_index, replicate_index)
 
 
+def test_seed_for_rejects_master_seeds_outside_64_bits():
+    """The master seed is mixed as a 64-bit integer, so -1 and 2**64 would
+    alias master seeds 2**64 - 1 and 0."""
+    assert seed_for(2**64 - 1, 0, 0) != seed_for(0, 0, 0)
+    for master_seed in (-1, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError, match="master seed"):
+            seed_for(master_seed, 3, 4)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -99,6 +108,9 @@ def test_experiment_config_validation():
         small_config(methods=(Method.NF, Method.NF))
     with pytest.raises(ValueError):
         small_config(rows=2)
+    for master_seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="master seed"):
+            small_config(master_seed=master_seed)
 
 
 def test_resolved_engine_defaults_and_override():
