@@ -173,6 +173,9 @@ def fmt_real(x) -> str:
     return s.rstrip(".") if s.endswith(".") else s
 
 
+_CHUNK_HOPS = 2048  # trace dump lines rendered and written per write call
+
+
 @contextlib.contextmanager
 def _atomic_open(path: str):
     """Text handle on a temporary file beside path; the file replaces path
@@ -181,10 +184,10 @@ def _atomic_open(path: str):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w") as handle:  # closes fd whatever fails next
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -243,11 +246,14 @@ def emit_plot_data(metrics, config: ExperimentConfig, figure: str, path: str,
 def emit_traces(config: ExperimentConfig, path: str):
     """One csv line per hop of every packet, replayable from the config.
     Each of the sweep's blocks is drawn, routed and tallied by one traced
-    _route_block call, so every packet is routed once and at most one
-    block's traces are held. The file is written one replicate at a time,
-    each line joined from text tables keyed by hop code (see the routing
-    loops in forwarding) and by 4 * relative index + port. Returns the
-    sweep's results, equal to run_sweep(config)."""
+    _route_block call, so every packet is routed once. Per block, the
+    lengths, line heads and destinations of its (packet, method) traces are
+    computed once; its hops are then rendered and written _CHUNK_HOPS at a
+    time, a chunk ending wherever it falls, even inside a trace. So the
+    dump holds one block's traces plus one chunk's arrays and text, however
+    long the traces. Each line is joined from text tables keyed by hop code
+    (see the routing loops in forwarding) and by 4 * relative index + port.
+    Returns the sweep's results, equal to run_sweep(config)."""
     rows, cols = config.rows, config.cols
     phi = _base_tables(rows, cols)[0]
     nbr = _neighbor_table(rows, cols)
@@ -260,8 +266,12 @@ def emit_traces(config: ExperimentConfig, path: str):
         f"{phi[i >> 2]},{phi[nbr[i]]}\n" for i in range(4 * rows * cols)
     ], dtype=object)
     index_text = np.array([], dtype=object)  # hop indices, grown to the longest trace
-    tails = np.array([f"{k},{m.name}," for k in range(config.packets_per_replicate)
+    width, packets = len(config.methods), config.packets_per_replicate
+    tails = np.array([f"{k},{m.name}," for k in range(packets)
                       for m in config.methods], dtype=object)  # packet,method,
+    # four text references per hop, interleaved; no string per line, and
+    # one list for every full chunk
+    cells = [""] * (4 * _CHUNK_HOPS)
     results = []
     with _atomic_open(path) as out:
         out.write("packet,method,hop,from,to,dir,kind,phi_from,phi_to\n")
@@ -269,27 +279,35 @@ def emit_traces(config: ExperimentConfig, path: str):
             block, block_rep, block_dsts, by_method = _route_block(
                 config, p, p_index, reps, True)
             results += block
-            ends = np.searchsorted(block_rep, np.arange(len(reps) + 1)).tolist()
-            for b, rep in enumerate(reps):
-                first, last = ends[b], ends[b + 1]
-                traces = [t[k] for k in range(first, last) for t in by_method]
-                lengths = np.fromiter(map(len, traces), np.intp, len(traces))
-                total = int(lengths.sum())
-                longest = int(lengths.max(initial=0))
-                if longest > len(index_text):
-                    index_text = np.array([f"{i}," for i in range(longest)], dtype=object)
-                codes = np.fromiter(chain.from_iterable(traces), np.intp, total)
-                step = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-                dst = np.repeat(np.repeat(block_dsts[first:last], len(by_method)), lengths)
-                rel = _relative_index(rows, cols, codes >> 3, dst)
-                heads = f"p{p_index}.r{rep}." + tails[:len(traces)]
-                # four text references per hop, interleaved; no string per line
-                cells = [""] * (4 * total)
-                cells[0::4] = np.repeat(heads, lengths).tolist()
-                cells[1::4] = index_text[step].tolist()
-                cells[2::4] = hop_text[codes].tolist()
-                cells[3::4] = phi_text[4 * rel + (codes >> 1 & 3)].tolist()
-                out.write("".join(cells))
+            # the block's traces in file order: replicate, packet, method; a
+            # replicate routes all of its packets or none
+            traces = list(chain.from_iterable(zip(*by_method)))
+            lengths = np.fromiter(map(len, traces), np.intp, len(traces))
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+            prefixes = np.array([f"p{p_index}.r{rep}." for rep in reps], dtype=object)
+            heads = np.repeat(prefixes[block_rep], width) + np.tile(tails, len(block_rep) // packets)
+            dsts = np.repeat(block_dsts, width)
+            longest = int(lengths.max(initial=0))
+            if longest > len(index_text):
+                index_text = np.array([f"{i}," for i in range(longest)], dtype=object)
+            codes_in_order = chain.from_iterable(traces)
+            total = int(lengths.sum())
+            for first in range(0, total, _CHUNK_HOPS):
+                last = min(first + _CHUNK_HOPS, total)
+                codes = np.fromiter(codes_in_order, np.intp, last - first)
+                # traces lo..hi, clipped to the chunk, hold its hops
+                lo, hi = ends.searchsorted((first, last - 1), "right").tolist()
+                span = slice(lo, hi + 1)
+                trace = np.repeat(np.arange(lo, hi + 1), np.minimum(ends[span], last)
+                                  - np.maximum(starts[span], first))
+                rel = _relative_index(rows, cols, codes >> 3, dsts[trace])
+                chunk = cells if codes.size == _CHUNK_HOPS else [""] * (4 * codes.size)
+                chunk[0::4] = heads[trace].tolist()
+                chunk[1::4] = index_text[np.arange(first, last) - starts[trace]].tolist()
+                chunk[2::4] = hop_text[codes].tolist()
+                chunk[3::4] = phi_text[4 * rel + (codes >> 1 & 3)].tolist()
+                out.write("".join(chunk))
     return results
 
 

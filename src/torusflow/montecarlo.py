@@ -19,7 +19,7 @@ counts and sums over (replicate, method) cells. A replicate with fewer than
 two alive nodes routes no packets and is tallied like any other, its
 packets all dropped as structurally unreachable. A block stacks at most
 _BLOCK_NODES nodes, so memory stays bounded on large tori, and no result
-depends on where blocks split. The master seed lies in [0, 2**64).
+depends on where blocks split. The master seed is an integer in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -54,11 +54,22 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int. Raises ValueError unless it is an int or a NumPy
+    integer; a bool is neither here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def seed_for(master_seed: int, p_index: int, replicate_index: int) -> int:
     """Deterministic per-replicate seed, distinct across (p_index,
     replicate_index) cells for any fixed master seed. Raises ValueError
-    for a master seed outside [0, 2**64) or an index outside [0, 2**32),
-    which would alias another seed or cell."""
+    for a non-integer argument, a master seed outside [0, 2**64) or an
+    index outside [0, 2**32), which would alias another seed or cell."""
+    master_seed = _integer("master seed", master_seed)
+    p_index = _integer("p_index", p_index)
+    replicate_index = _integer("replicate_index", replicate_index)
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master seed {master_seed!r} outside [0, 2**64)")
     if not (0 <= p_index < 1 << 32 and 0 <= replicate_index < 1 << 32):
@@ -80,8 +91,10 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("rows", "cols", "replicates", "packets_per_replicate"):
+            _integer(name, getattr(self, name))
         build_torus(self.rows, self.cols)
-        seed_for(self.master_seed, 0, 0)  # rejects a master seed outside [0, 2**64)
+        seed_for(self.master_seed, 0, 0)  # rejects a non-integer or out-of-range master seed
         if not self.p_values:
             raise ValueError("p_values must not be empty")
         for p in self.p_values:

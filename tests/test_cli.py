@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -208,6 +209,33 @@ def test_failed_write_keeps_the_earlier_file(tmp_path):
     assert os.listdir(tmp_path) == ["aggregate.csv"]
 
 
+def test_failed_setup_closes_the_temporary_file(tmp_path, monkeypatch):
+    """A failure before the text handle is written to still closes the
+    temporary file's descriptor and removes the file."""
+    path = tmp_path / "aggregate.csv"
+    path.write_text("earlier\n")
+    made = []
+    mkstemp = tempfile.mkstemp
+
+    def recorded(*args, **kwargs):
+        made.append(mkstemp(*args, **kwargs))
+        return made[-1]
+
+    def refused(fd, mode):
+        raise PermissionError("fchmod refused")
+
+    monkeypatch.setattr(tempfile, "mkstemp", recorded)
+    monkeypatch.setattr(os, "fchmod", refused)
+    with pytest.raises(PermissionError, match="fchmod refused"):
+        with cli._atomic_open(str(path)):
+            pass
+    [(fd, _)] = made
+    with pytest.raises(OSError):
+        os.fstat(fd)
+    assert path.read_bytes() == b"earlier\n"
+    assert os.listdir(tmp_path) == ["aggregate.csv"]
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
 def test_output_files_get_the_umask_mode(tmp_path, umask):
     """Every output gets 0666 minus the umask, as a plain open gives it,
@@ -355,6 +383,23 @@ def test_trace_dump_memory_does_not_grow_with_the_ttl(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
     assert peak < 5 * 2**20
+
+
+def test_trace_dump_memory_does_not_grow_with_a_replicates_traces(tmp_path):
+    """An 8.7 MiB dump of one replicate is rendered in fixed-size chunks:
+    beside the block's traces only one chunk's arrays and text are alive.
+    Rendering the replicate's whole text at once peaked at 35 MiB."""
+    config = micro_config(rows=16, cols=16, p_values=(0.1,), replicates=1,
+                          packets_per_replicate=2000, master_seed=0)
+    emit_traces(config, str(tmp_path / "warm.csv"))  # fills the shape's table caches
+    tracemalloc.start()
+    try:
+        emit_traces(config, str(tmp_path / "traces.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "traces.csv").stat().st_size > 8 * 2**20
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("overrides", [

@@ -65,6 +65,19 @@ CASES = {
                 "4305a8f0f6f474f877253cbef093371f5ef53e7d2a32910896a70550f9a5d9ac",
         },
     ),
+    # 457 traces, 23 of them longer than the dump's 2,048-hop render chunk,
+    # so chunk boundaries fall inside traces; both digests were recorded
+    # while the dump was still rendered one whole replicate at a time
+    "bond8_long_ttl": (
+        "--rows 8 --cols 8 --mode bond --p 0.15 --replicates 4 "
+        "--packets-per-replicate 30 --seed 11 --ttl 5000 --dump-traces",
+        {
+            "aggregate.csv":
+                "40048c8921185376e9f331f2fd6745dfa41b8603320f752f52ec2e1686dbfc41",
+            "traces.csv":
+                "fa84097896143055720b363182f052701f42d06234b586f41d13eda339d1d8aa",
+        },
+    ),
     # 320 routed pairs to 308 distinct destinations on a 64x64 torus, all
     # served by the one set of base tables for the shape
     "site64_low": (

@@ -90,6 +90,15 @@ def test_seed_for_rejects_master_seeds_outside_64_bits():
             seed_for(master_seed, 3, 4)
 
 
+def test_seed_for_takes_only_integers():
+    """NumPy integers seed as the ints they equal; a bool, a float or a
+    string would otherwise run another seed or fail with TypeError."""
+    assert seed_for(np.uint64(3), np.int32(1), np.int64(2)) == seed_for(3, 1, 2)
+    for args in ((True, 0, 0), (1.5, 0, 0), ("3", 0, 0), (0, 1.0, 0), (0, 0, False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            seed_for(*args)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -111,6 +120,23 @@ def test_experiment_config_validation():
     for master_seed in (-1, 2**64):
         with pytest.raises(ValueError, match="master seed"):
             small_config(master_seed=master_seed)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("master_seed", True), ("master_seed", 1.5), ("master_seed", "3"),
+    ("replicates", True), ("replicates", 2.5), ("packets_per_replicate", 3.0),
+    ("rows", 5.0), ("cols", np.float64(4.0)),
+])
+def test_experiment_config_rejects_non_integers(field, value):
+    """True would run as 1 and the floats fail inside run_sweep, so
+    every integer field takes an int or a NumPy integer, not a bool."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        small_config(**{field: value})
+
+
+def test_experiment_config_takes_numpy_integers():
+    config = small_config(rows=np.int64(4), replicates=np.int32(3), master_seed=np.uint64(31))
+    assert run_sweep(config) == run_sweep(small_config())
 
 
 def test_resolved_engine_defaults_and_override():
