@@ -93,7 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated subset of fig4,fig5,fig6")
     ap.add_argument("--dump-traces", action="store_true",
                     help="write one line per hop (small runs only)")
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=int, default=1,
+                    help="most sweep worker processes; no effect with "
+                    "--dump-traces, which routes in one process")
     return ap
 
 
@@ -101,16 +103,7 @@ def parse_args(argv=None):
     ap = build_parser()
     ns = ap.parse_args(argv)
 
-    methods = []
-    for token in ns.methods.split(","):
-        name = token.strip().replace("-", "_").upper()
-        if not name:
-            continue
-        try:
-            methods.append(Method[name])
-        except KeyError:
-            ap.error(f"--methods: unknown method {token!r}")
-
+    names = [token.strip().replace("-", "_").upper() for token in ns.methods.split(",")]
     if ns.p is not None:
         try:
             p_values = tuple(float(tok) for tok in ns.p.split(",") if tok.strip())
@@ -136,8 +129,8 @@ def parse_args(argv=None):
         config = ExperimentConfig(
             rows=ns.rows,
             cols=ns.cols,
-            mode=FailureMode(ns.mode),
-            methods=tuple(methods),
+            mode=ns.mode,
+            methods=tuple(filter(None, names)),
             p_values=p_values,
             replicates=ns.replicates,
             packets_per_replicate=ns.packets_per_replicate,
@@ -219,7 +212,9 @@ def _emit_table(path: str, columns, metrics, config: ExperimentConfig, fmt: str)
     shape, projected on `columns`."""
     cells = [{"rows": config.rows, "cols": config.cols, **vars(m)} for m in metrics]
     records = [{c: _text(row[c]) for c in columns} for row in cells]
-    if fmt == "json":
+    if fmt == "json":  # JSON has no NaN: a missing improvement is null
+        records = [{c: None if isinstance(v, float) and math.isnan(v) else v
+                    for c, v in rec.items()} for rec in records]
         _atomic_write(path, json.dumps(records, indent=2) + "\n")
         return
     lines = [",".join(columns)]
@@ -348,8 +343,8 @@ def config_from_manifest(manifest: dict) -> ExperimentConfig:
     return ExperimentConfig(
         rows=int(manifest["rows"]),
         cols=int(manifest["cols"]),
-        mode=FailureMode(manifest["mode"]),
-        methods=tuple(Method[m] for m in manifest["methods"].split(",")),
+        mode=manifest["mode"],
+        methods=tuple(manifest["methods"].split(",")),
         p_values=tuple(float(p) for p in manifest["p_values"].split(",")),
         replicates=int(manifest["replicates"]),
         packets_per_replicate=int(manifest["packets_per_replicate"]),

@@ -338,10 +338,11 @@ def route_packet(
 ) -> PacketOutcome:
     """Route one packet and report what happened.
 
-    src and dst must be distinct alive nodes. With record_trace the outcome
-    carries the full hop trace and annihilation points; without it those
-    fields are empty and only the counters are filled.
+    src and dst must be distinct alive nodes; method may be a Method value.
+    With record_trace the outcome carries the full hop trace and annihilation
+    points; without it those fields are empty and only the counters are filled.
     """
+    method = Method(method)
     topo = scenario.topology
     src = tuple(src)
     dst = tuple(dst)

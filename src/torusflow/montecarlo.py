@@ -34,6 +34,7 @@ from .forwarding import EngineConfig, Method, _route_stack, default_engine_confi
 from .topology import (
     FailureMode,
     FailureScenario,
+    _check_p,
     _draw_bytes,
     _largest_component_fractions,
     _stack_labels,
@@ -91,6 +92,9 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        # a mode or method may be given by its value; anything else raises
+        object.__setattr__(self, "mode", FailureMode(self.mode))
+        object.__setattr__(self, "methods", tuple(map(Method, self.methods)))
         for name in ("rows", "cols", "replicates", "packets_per_replicate"):
             _integer(name, getattr(self, name))
         build_torus(self.rows, self.cols)
@@ -98,8 +102,7 @@ class ExperimentConfig:
         if not self.p_values:
             raise ValueError("p_values must not be empty")
         for p in self.p_values:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"failure probability {p} outside [0, 1]")
+            _check_p(p)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.packets_per_replicate < 1:
@@ -195,9 +198,7 @@ def replicate_inputs(
         config, p, p_index, [replicate_index]
     )
     topo = build_torus(config.rows, config.cols)
-    scenario = FailureScenario(
-        topo, config.mode, p, seeds[0], ports.tobytes(), alive.tobytes()
-    )
+    scenario = FailureScenario(topo, config.mode, p, seeds[0], ports[0], alive[0])
     node_at = topo.node_at
     return scenario, [
         (node_at(s), node_at(t)) for s, t in zip(srcs.tolist(), dsts.tolist())

@@ -72,6 +72,8 @@ class TorusTopology:
         return r * self.cols + c
 
     def node_at(self, index: int) -> NodeId:
+        if not 0 <= index < self.num_nodes:
+            raise ValueError(f"node index {index} outside {self.rows}x{self.cols} torus")
         return divmod(index, self.cols)
 
 
@@ -104,7 +106,7 @@ def _neighbor_table(rows: int, cols: int):
 
 def neighbor(topo: TorusTopology, node: NodeId, d: Direction) -> NodeId:
     nbr = _neighbor_table(topo.rows, topo.cols)
-    return topo.node_at(nbr[4 * topo.node_index(node) + d])
+    return topo.node_at(nbr[4 * topo.node_index(node) + Direction(d)])
 
 
 def canonical_link(topo: TorusTopology, node: NodeId, d: Direction) -> LinkId:
@@ -127,31 +129,28 @@ def all_links(topo: TorusTopology) -> list[LinkId]:
     return [canonical_link(topo, v, d) for v in nodes for d in _EAST_SOUTH]
 
 
+@dataclass(frozen=True, eq=False)
 class FailureScenario:
     """Frozen outcome of a failure draw on one topology.
 
-    The alive network is stored only as bytes, built by `_scenario_bytes`:
-    entry v of port_mask has bit d set when the link at node v's port d is
-    up (symmetric across its two endpoints), and entry v of node_bits says
-    whether node v is up. A live node can have mask 0, so aliveness has its
-    own byte.
+    The alive network is stored only as bytes, converted from one row of
+    each `_scenario_bytes` array: entry v of _port_mask has bit d set when
+    the link at node v's port d is up (symmetric across its two endpoints),
+    and entry v of _node_bits says whether node v is up. A live node can
+    have mask 0, so aliveness has its own byte.
     """
 
-    def __init__(
-        self,
-        topology: TorusTopology,
-        mode: FailureMode,
-        p: float,
-        seed: int,
-        port_mask: bytes,
-        node_bits: bytes,
-    ):
-        self.topology = topology
-        self.mode = mode
-        self.p = p
-        self.seed = seed
-        self._port_mask = port_mask
-        self._node_bits = node_bits
+    topology: TorusTopology
+    mode: FailureMode
+    p: float
+    seed: int
+    _port_mask: bytes
+    _node_bits: bytes
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", FailureMode(self.mode))
+        object.__setattr__(self, "_port_mask", bytes(self._port_mask))
+        object.__setattr__(self, "_node_bits", bytes(self._node_bits))
 
     @cached_property
     def failed_links(self) -> frozenset[LinkId]:
@@ -253,19 +252,22 @@ def _draw_bytes(topo: TorusTopology, mode: FailureMode, p: float, streams):
     return _scenario_bytes(topo, no_links, no_links, dead)
 
 
+def _apply_failures(topo: TorusTopology, mode: FailureMode, p: float, seed: int):
+    mask, nodes = _draw_bytes(topo, mode, p, seeded([seed]))
+    return FailureScenario(topo, mode, p, seed, mask[0], nodes[0])
+
+
 def apply_bond_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
     """Fail each link independently with probability p. Raises ValueError
     for a seed that is not a non-negative integer."""
-    mask, nodes = _draw_bytes(topo, FailureMode.BOND, p, seeded([seed]))
-    return FailureScenario(topo, FailureMode.BOND, p, seed, mask.tobytes(), nodes.tobytes())
+    return _apply_failures(topo, FailureMode.BOND, p, seed)
 
 
 def apply_site_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
     """Fail each node independently with probability p; a dead node takes
     all four incident links with it. Raises ValueError for a seed that is
     not a non-negative integer."""
-    mask, nodes = _draw_bytes(topo, FailureMode.SITE, p, seeded([seed]))
-    return FailureScenario(topo, FailureMode.SITE, p, seed, mask.tobytes(), nodes.tobytes())
+    return _apply_failures(topo, FailureMode.SITE, p, seed)
 
 
 def from_failures(topo: TorusTopology, links=(), nodes=()) -> FailureScenario:
@@ -281,7 +283,7 @@ def from_failures(topo: TorusTopology, links=(), nodes=()) -> FailureScenario:
     for node in nodes:
         dead[2, 0, topo.node_index(node)] = True
     mask, alive = _scenario_bytes(topo, *dead)
-    return FailureScenario(topo, FailureMode.BOND, 0.0, 0, mask.tobytes(), alive.tobytes())
+    return FailureScenario(topo, FailureMode.BOND, 0.0, 0, mask[0], alive[0])
 
 
 def _check_p(p: float):
@@ -294,7 +296,7 @@ def is_node_alive(scenario: FailureScenario, node: NodeId) -> bool:
 
 
 def is_link_alive(scenario: FailureScenario, node: NodeId, d: Direction) -> bool:
-    return bool(scenario._port_mask[scenario.topology.node_index(node)] >> d & 1)
+    return bool(scenario._port_mask[scenario.topology.node_index(node)] >> Direction(d) & 1)
 
 
 def largest_component_fraction(scenario: FailureScenario) -> float:

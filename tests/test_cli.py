@@ -111,26 +111,46 @@ def test_parse_args_engine_overrides():
     assert config.engine == EngineConfig(sst=8, ttl=100)
 
 
-def test_parse_args_rejections():
+@pytest.mark.parametrize("argv, key, want", [
+    (["--methods", "nf,,rf-lf"], "methods", (Method.NF, Method.RF_LF)),
+    (["--methods", "NF, Rf_Cf"], "methods", (Method.NF, Method.RF_CF)),
+    (["--p", "0.1,"], "p_values", (0.1,)),
+    (["--points", "0", "--p", "0.1"], "p_values", (0.1,)),
+    (["--figures", "fig4, fig6"], "figures", ("fig4", "fig6")),
+])
+def test_parse_args_spellings(argv, key, want):
+    """Empty tokens are skipped, and method names ignore case, spaces and
+    hyphens; --points matters only to a regime."""
+    config, options = parse_args(argv)
+    assert (options[key] if key in options else getattr(config, key)) == want
+
+
+def test_parse_args_rejections(capsys):
+    """Each bad argument exits with status 2, and the error names it."""
     bad_argvs = [
-        ["--rows", "2"],
-        ["--methods", "warp"],
-        ["--methods", ""],
-        ["--p", "0.1,oops"],
-        ["--p", "1.5"],
-        ["--p", ""],
-        ["--points", "0"],
-        ["--sst", "10", "--ttl", "2"],
-        ["--figures", "fig9"],
-        ["--replicates", "0"],
-        ["--packets-per-replicate", "0"],
-        ["--workers", "0"],
-        ["--seed", "-1"],  # a master seed outside [0, 2**64) aliases another
-        ["--seed", str(2**64)],
+        (["--rows", "2"], "2x16"),
+        (["--methods", "warp"], "warp"),
+        (["--methods", "bogus"], "bogus"),
+        (["--methods", ""], "methods"),
+        (["--p", "0.1,oops"], "oops"),
+        (["--p", "x"], "'x'"),
+        (["--p", "1.5"], "1.5"),
+        (["--p", ""], "p_values"),
+        (["--points", "0"], "points"),
+        (["--sst", "10", "--ttl", "2"], "ttl=2"),
+        (["--figures", "fig9"], "fig9"),
+        (["--replicates", "0"], "replicates"),
+        (["--packets-per-replicate", "0"], "packets_per_replicate"),
+        (["--workers", "0"], "workers"),
+        (["--seed", "-1"], "-1"),  # a master seed outside [0, 2**64) aliases another
+        (["--seed", str(2**64)], str(2**64)),
     ]
-    for argv in bad_argvs:
-        with pytest.raises(SystemExit):
+    for argv, token in bad_argvs:
+        with pytest.raises(SystemExit) as exc:
             parse_args(argv)
+        assert exc.value.code == 2, argv
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("torusflow: error: ") and token in error.lower(), argv
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +203,25 @@ def test_json_format(tmp_path):
     assert set(records[0]) == set(AGGREGATE_COLUMNS)
     assert records[0]["method"] == "NF"
     assert records[0]["mode"] == "bond"
+
+
+def test_json_writes_null_for_a_missing_improvement(tmp_path):
+    """Without NF there is no improvement: csv writes nan, and json, which
+    has no NaN (RFC 8259), writes null."""
+    def no_constants(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    config = micro_config(methods=(Method.RF_LF,))
+    paths = run_experiment(config, micro_options(tmp_path, format="json"))
+    with open(paths["aggregate_path"]) as handle:
+        records = json.loads(handle.read(), parse_constant=no_constants)
+    assert [r["improvement_pts"] for r in records] == [None, None]
+    assert records[1]["loss_rate"] > 0
+    paths = run_experiment(config, micro_options(tmp_path))
+    with open(paths["aggregate_path"]) as handle:
+        lines = handle.read().splitlines()[1:]
+    column = AGGREGATE_COLUMNS.index("improvement_pts")
+    assert [line.split(",")[column] for line in lines] == ["nan", "nan"]
 
 
 def test_emit_plot_data_rejects_unknown_figure(tmp_path):

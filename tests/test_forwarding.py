@@ -229,6 +229,19 @@ def test_route_packet_validates_endpoints():
         route_packet(dead, Method.NF, (0, 0), (2, 2))
 
 
+def test_route_packet_takes_method_values():
+    """A method named by its value routes as the member; with the N link of
+    (1, 1) dead only reverse flow delivers the packet."""
+    scenario = from_failures(build_torus(8, 8), links=[((1, 1), N)])
+    for method in ALL_METHODS:
+        want = route_packet(scenario, method, (1, 1), (0, 1))
+        assert route_packet(scenario, method.value, (1, 1), (0, 1)) == want
+        assert (want.verdict is Verdict.DELIVERED) == (method in (Method.RF_CF, Method.RF_LF))
+    for bad in ("rf_lf", "warp", 3):
+        with pytest.raises(ValueError):
+            route_packet(scenario, bad, (1, 1), (0, 1))
+
+
 def test_fault_free_routes_are_shortest_for_every_method():
     topo = build_torus(4, 4)
     intact = apply_bond_failures(topo, 0.0, seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
+from torusflow.analysis import aggregate_sweep
 from torusflow.forwarding import EngineConfig, Method
 from torusflow.montecarlo import (
     _BLOCK_NODES,
@@ -137,6 +138,30 @@ def test_experiment_config_rejects_non_integers(field, value):
 def test_experiment_config_takes_numpy_integers():
     config = small_config(rows=np.int64(4), replicates=np.int32(3), master_seed=np.uint64(31))
     assert run_sweep(config) == run_sweep(small_config())
+
+
+def test_experiment_config_takes_member_values():
+    """A mode or method named by its value runs as the member: the same
+    draws, the same packets and the same aggregate rows."""
+    by_value = small_config(mode="bond", p_values=(0.1, 0.3))
+    by_member = small_config(p_values=(0.1, 0.3))
+    assert by_value == by_member and by_value.mode is FailureMode.BOND
+    assert (aggregate_sweep(run_sweep(by_value), by_value)
+            == aggregate_sweep(run_sweep(by_member), by_member))
+    rf_cf = small_config(methods=("RF_CF",), p_values=(0.1, 0.3))
+    assert rf_cf == small_config(methods=(Method.RF_CF,), p_values=(0.1, 0.3))
+    rows = aggregate_sweep(run_sweep(rf_cf), rf_cf)
+    assert [(row.method, row.p) for row in rows] == [(Method.RF_CF, 0.1), (Method.RF_CF, 0.3)]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mode", "BOND"), ("mode", "ring"), ("mode", Method.NF),
+    ("methods", ("NF", "warp")), ("methods", ("rf_cf",)), ("methods", (0,)),
+    ("methods", (FailureMode.BOND,)), ("methods", ("NF", Method.NF)),
+])
+def test_experiment_config_rejects_unknown_modes_and_methods(field, value):
+    with pytest.raises(ValueError):
+        small_config(**{field: value})
 
 
 def test_resolved_engine_defaults_and_override():

@@ -14,6 +14,7 @@ from torusflow.topology import (
     DIRECTIONS,
     Direction,
     FailureMode,
+    FailureScenario,
     TorusTopology,
     all_links,
     apply_bond_failures,
@@ -27,6 +28,7 @@ from torusflow.topology import (
     is_node_alive,
     largest_component_fraction,
     neighbor,
+    _scenario_bytes,
     _stack_labels,
 )
 
@@ -74,6 +76,9 @@ def test_node_index_round_trip():
         topo.node_index((5, 0))
     with pytest.raises(ValueError):
         topo.node_index((0, -1))
+    for off in (-1, topo.num_nodes, 99):
+        with pytest.raises(ValueError):
+            topo.node_at(off)
 
 
 def test_neighbor_wraparound():
@@ -84,6 +89,19 @@ def test_neighbor_wraparound():
     assert neighbor(topo, (0, 0), W) == (0, 3)
     assert neighbor(topo, (3, 3), S) == (0, 3)
     assert neighbor(topo, (3, 3), E) == (3, 0)
+
+
+def test_port_arguments_must_be_directions():
+    topo = build_torus(4, 4)
+    scen = apply_bond_failures(topo, 0.0, seed=0)
+    assert neighbor(topo, (0, 0), 1) == (0, 1)
+    for d in (4, 5, -1):
+        with pytest.raises(ValueError):
+            neighbor(topo, (0, 0), d)
+        with pytest.raises(ValueError):
+            canonical_link(topo, (0, 0), d)
+        with pytest.raises(ValueError):
+            is_link_alive(scen, (0, 0), d)
 
 
 def test_neighbor_is_involutive_through_opposite():
@@ -232,6 +250,24 @@ def test_from_failed_links_normalizes_direction():
     assert not is_link_alive(scen, (0, 0), W)
     assert is_link_alive(scen, (0, 0), E)
     assert alive_degree(scen, (0, 2)) == 3
+
+
+def test_scenario_repr():
+    drawn = apply_bond_failures(build_torus(4, 4), 0.3, seed=1)
+    assert repr(drawn) == (
+        "FailureScenario(4x4, bond, p=0.3, seed=1, 9 dead links, 0 dead nodes)"
+    )
+    topo = build_torus(3, 5)
+    dead = np.zeros((3, 1, topo.num_nodes), dtype=bool)  # E ports, S ports, nodes
+    dead[0, 0, 2] = dead[2, 0, 7] = True
+    mask, alive = _scenario_bytes(topo, *dead)
+    built = FailureScenario(topo, "site", 0.25, 9, mask[0], alive[0])
+    assert built.mode is FailureMode.SITE
+    assert built._port_mask == mask.tobytes() and built._node_bits == alive.tobytes()
+    assert built.failed_nodes == {(1, 2)}
+    assert repr(built) == (
+        "FailureScenario(3x5, site, p=0.25, seed=9, 5 dead links, 1 dead nodes)"
+    )
 
 
 def test_invalid_probability_rejected():
