@@ -3,12 +3,7 @@ torus networks under link (bond) and node (site) percolation."""
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    AggregateMetrics,
-    CriticalPointEstimate,
-    aggregate,
-    aggregate_sweep,
-)
+from .analysis import AggregateMetrics, aggregate_sweep
 from .forwarding import (
     EngineConfig,
     HopKind,

@@ -32,16 +32,10 @@ class AggregateMetrics:
     largest_cc_fraction_mean: float
 
 
-def aggregate(
-    results: list[ReplicateResult],
-    method: Method,
-    mode: FailureMode,
-    p: float,
+def _aggregate(
+    rows: list[ReplicateResult], method: Method, mode: FailureMode, p: float
 ) -> AggregateMetrics:
-    """Collapse all replicates at one p into one row for one method."""
-    rows = [r for r in results if r.p == p]
-    if not rows:
-        raise ValueError(f"no replicates at p={p}")
+    """Collapse the replicates of one p into one row for one method."""
     n_packets = sum(r.n_packets for r in rows)
     tallies = [r.tallies[method] for r in rows]
     delivered = sum(t.delivered for t in tallies)
@@ -97,33 +91,6 @@ def aggregate_sweep(
             continue
         for p_index in p_order:
             out.append(
-                aggregate(by_p[p_index], method, config.mode, config.p_values[p_index])
+                _aggregate(by_p[p_index], method, config.mode, config.p_values[p_index])
             )
     return out
-
-
-@dataclass(frozen=True)
-class CriticalPointEstimate:
-    p: float
-    value: float
-    index: int
-
-
-def estimate_peak(p_values, series) -> CriticalPointEstimate:
-    """Position of the maximum of a metric series over p; ties go to the
-    smaller p, entries of None are skipped."""
-    if len(p_values) != len(series):
-        raise ValueError("p_values and series must have equal length")
-    if len(p_values) < 3:
-        raise ValueError("need at least 3 points to call anything a peak")
-    order = sorted(range(len(p_values)), key=lambda i: p_values[i])
-    best = None
-    for i in order:
-        v = series[i]
-        if v is None:
-            continue
-        if best is None or v > series[best]:
-            best = i
-    if best is None:
-        raise ValueError("series has no values")
-    return CriticalPointEstimate(p=p_values[best], value=series[best], index=best)

@@ -33,6 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .potential import _base_arrays, _base_tables, _relative_index
+from .streams import _integer
 from .topology import (
     _CLOCKWISE as _CW,
     _COUNTERCW as _CCW,
@@ -73,6 +74,8 @@ class EngineConfig:
     ttl: int  # hard hop budget per packet
 
     def __post_init__(self):
+        for name in ("sst", "ttl"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.sst < 1:
             raise ValueError(f"sst must be >= 1, got {self.sst}")
         if self.ttl < self.sst:

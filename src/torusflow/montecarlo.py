@@ -40,7 +40,7 @@ from .topology import (
     _stack_labels,
     build_torus,
 )
-from .streams import Integers, seeded
+from .streams import Integers, _integer, seeded
 
 _MASK64 = (1 << 64) - 1
 _SCENARIO_SALT = 0x9E3779B97F4A7C15
@@ -53,14 +53,6 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def _integer(name: str, value) -> int:
-    """value as an int. Raises ValueError unless it is an int or a NumPy
-    integer; a bool is neither here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def seed_for(master_seed: int, p_index: int, replicate_index: int) -> int:
@@ -95,9 +87,11 @@ class ExperimentConfig:
         # a mode or method may be given by its value; anything else raises
         object.__setattr__(self, "mode", FailureMode(self.mode))
         object.__setattr__(self, "methods", tuple(map(Method, self.methods)))
-        for name in ("rows", "cols", "replicates", "packets_per_replicate"):
-            _integer(name, getattr(self, name))
-        build_torus(self.rows, self.cols)
+        for name in ("replicates", "packets_per_replicate"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        topo = build_torus(self.rows, self.cols)  # the shape as checked ints
+        object.__setattr__(self, "rows", topo.rows)
+        object.__setattr__(self, "cols", topo.cols)
         seed_for(self.master_seed, 0, 0)  # rejects a non-integer or out-of-range master seed
         if not self.p_values:
             raise ValueError("p_values must not be empty")

@@ -35,10 +35,12 @@ _LOW32 = np.uint64(_MASK32)
 _U1, _U11, _U32, _U58, _U63 = (np.uint64(k) for k in (1, 11, 32, 58, 63))
 
 
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+def _integer(name: str, value) -> int:
+    """value as an int. Raises ValueError unless it is an int or a NumPy
+    integer; a bool is neither here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,7 +91,9 @@ def seeded(seeds) -> np.ndarray:
     Row b of each column is seeds[b]'s stream; uniforms and Integers draw
     from any selection of rows. Raises ValueError for a seed that is not a
     non-negative integer."""
-    seeds = [_check_seed(s) for s in seeds]
+    seeds = [_integer("seed", s) for s in seeds]
+    if any(s < 0 for s in seeds):
+        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
     lengths = [max(_POOL, -(-s.bit_length() // 32)) for s in seeds]
     state = np.empty((8, len(seeds)), dtype=np.uint32)
     consts = _hash_consts(_INIT_B, _MULT_B, 8)

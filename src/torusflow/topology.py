@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .streams import seeded, uniforms
+from .streams import _integer, seeded, uniforms
 
 NodeId = tuple[int, int]
 LinkId = tuple[NodeId, "Direction"]
@@ -52,6 +52,8 @@ class TorusTopology:
     cols: int
 
     def __post_init__(self):
+        for name in ("rows", "cols"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.rows < 3 or self.cols < 3:
             raise ValueError(
                 f"torus requires rows >= 3 and cols >= 3, got {self.rows}x{self.cols}"
@@ -151,6 +153,9 @@ class FailureScenario:
         object.__setattr__(self, "mode", FailureMode(self.mode))
         object.__setattr__(self, "_port_mask", bytes(self._port_mask))
         object.__setattr__(self, "_node_bits", bytes(self._node_bits))
+        n = self.topology.num_nodes
+        if len(self._port_mask) != n or len(self._node_bits) != n:
+            raise ValueError(f"scenario rows must hold one byte per node ({n})")
 
     @cached_property
     def failed_links(self) -> frozenset[LinkId]:

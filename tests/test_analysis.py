@@ -1,14 +1,10 @@
-"""Aggregation arithmetic and peak estimation."""
+"""Aggregation arithmetic, per (method, p) cell through aggregate_sweep."""
 
 import math
 
 import pytest
 
-from torusflow.analysis import (
-    aggregate,
-    aggregate_sweep,
-    estimate_peak,
-)
+from torusflow.analysis import aggregate_sweep
 from torusflow.forwarding import Method
 from torusflow.montecarlo import (
     ExperimentConfig,
@@ -33,6 +29,13 @@ def rep(p, p_index, rep_index, tallies, packets=100):
     )
 
 
+def cells(results, methods, p):
+    """aggregate_sweep's rows for one p, by method, under a bond config
+    that runs exactly `methods` at `p`."""
+    config = ExperimentConfig(methods=methods, p_values=(p,))
+    return {row.method: row for row in aggregate_sweep(results, config)}
+
+
 def test_aggregate_frozen_loss_and_improvement():
     """Two replicates of 100 packets; the candidate loses 15 + 10 = 25 of
     200 while the baseline loses 30 + 30 = 60: loss 0.125 against 0.300,
@@ -47,12 +50,13 @@ def test_aggregate_frozen_loss_and_improvement():
             Method.RF_LF: MethodTally(delivered=90, dropped_ttl=10),
         }),
     ]
-    row = aggregate(results, Method.RF_LF, FailureMode.BOND, 0.05)
+    rows = cells(results, (Method.NF, Method.RF_LF), 0.05)
+    row = rows[Method.RF_LF]
     assert row.n_replicates == 2
     assert row.n_packets == 200
     assert row.loss_rate == pytest.approx(0.125)
     assert row.improvement_pts == pytest.approx(17.5)
-    base = aggregate(results, Method.NF, FailureMode.BOND, 0.05)
+    base = rows[Method.NF]
     assert base.loss_rate == pytest.approx(0.300)
     assert base.improvement_pts == pytest.approx(0.0)
 
@@ -61,7 +65,7 @@ def test_aggregate_improvement_is_nan_without_baseline():
     results = [
         rep(0.1, 0, 0, {Method.RF_CF: MethodTally(delivered=90, dropped_ttl=10)})
     ]
-    row = aggregate(results, Method.RF_CF, FailureMode.BOND, 0.1)
+    row = cells(results, (Method.RF_CF,), 0.1)[Method.RF_CF]
     assert math.isnan(row.improvement_pts)
 
 
@@ -80,7 +84,7 @@ def test_aggregate_frozen_reverse_ratios():
             ),
         }),
     ]
-    row = aggregate(results, Method.RF_LF, FailureMode.BOND, 0.02)
+    row = cells(results, (Method.RF_LF,), 0.02)[Method.RF_LF]
     assert row.rf_packet_ratio == pytest.approx(1.0)
     assert row.rf_hops_ratio == pytest.approx(1 / 3)
     assert row.max_hops_mean == pytest.approx(3.0)
@@ -91,7 +95,7 @@ def test_aggregate_with_zero_deliveries():
     results = [
         rep(0.9, 0, 0, {Method.NF: MethodTally(dropped_no_egress=100)}),
     ]
-    row = aggregate(results, Method.NF, FailureMode.BOND, 0.9)
+    row = cells(results, (Method.NF,), 0.9)[Method.NF]
     assert row.loss_rate == 1.0
     assert row.rf_packet_ratio == 0.0
     assert row.rf_hops_ratio == 0.0
@@ -106,16 +110,10 @@ def test_aggregate_max_hops_skips_empty_replicates():
         rep(0.5, 0, 0, {Method.NF: tally_hit}),
         rep(0.5, 0, 1, {Method.NF: tally_miss}),
     ]
-    row = aggregate(results, Method.NF, FailureMode.BOND, 0.5)
+    row = cells(results, (Method.NF,), 0.5)[Method.NF]
     assert row.n_replicates == 2
     assert row.max_hops_mean == pytest.approx(5.0)
     assert row.max_hops_max == 5
-
-
-def test_aggregate_rejects_unknown_p():
-    results = [rep(0.1, 0, 0, {Method.NF: MethodTally(delivered=100)})]
-    with pytest.raises(ValueError):
-        aggregate(results, Method.NF, FailureMode.BOND, 0.2)
 
 
 def test_aggregate_sweep_row_order():
@@ -164,30 +162,3 @@ def test_small_sweep_sanity():
         ) / row.n_packets
         assert row.loss_rate >= structural - 1e-12
         assert 0.0 < row.largest_cc_fraction_mean <= 1.0
-
-
-def test_estimate_peak_frozen():
-    peak = estimate_peak([0.1, 0.2, 0.3], [1.0, 3.0, 2.0])
-    assert (peak.p, peak.value, peak.index) == (0.2, 3.0, 1)
-
-
-def test_estimate_peak_tie_goes_to_smaller_p():
-    peak = estimate_peak([0.1, 0.2, 0.3], [5.0, 5.0, 1.0])
-    assert peak.p == 0.1
-    # order of presentation must not matter
-    shuffled = estimate_peak([0.3, 0.1, 0.2], [1.0, 5.0, 5.0])
-    assert shuffled.p == 0.1
-
-
-def test_estimate_peak_skips_missing_values():
-    peak = estimate_peak([0.1, 0.2, 0.3], [None, 2.0, 3.0])
-    assert (peak.p, peak.value) == (0.3, 3.0)
-
-
-def test_estimate_peak_validation():
-    with pytest.raises(ValueError):
-        estimate_peak([0.1, 0.2], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        estimate_peak([0.1, 0.2], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        estimate_peak([0.1, 0.2, 0.3], [None, None, None])

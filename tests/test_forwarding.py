@@ -73,6 +73,28 @@ def test_engine_config_validation():
     assert (cfg.sst, cfg.ttl) == (1, 1)
 
 
+@pytest.mark.parametrize("sst, ttl", [(16, 128.5), (True, 40), (2.0, 40), (3, "17")])
+def test_engine_config_takes_only_integers(sst, ttl):
+    """A float ttl would make the loop cut step back forever once the
+    hops pass it, and True would run as sst 1."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        EngineConfig(sst=sst, ttl=ttl)
+
+
+def test_engine_config_takes_numpy_integers():
+    """NumPy integers are stored as the ints they equal and route alike."""
+    cfg = EngineConfig(np.int64(3), np.int64(17))
+    assert (type(cfg.sst), type(cfg.ttl)) == (int, int)
+    assert cfg == EngineConfig(3, 17)
+    topo = build_torus(8, 8)
+    scen = apply_bond_failures(topo, 0.3, seed=5)
+    pairs = alive_pairs(scen, random.Random(5), 40)
+    for m in ALL_METHODS:
+        for src, dst in pairs:
+            assert route_packet(scen, m, src, dst, cfg) == route_packet(
+                scen, m, src, dst, EngineConfig(3, 17)), (m, src, dst)
+
+
 def test_default_engine_config_scales_with_diameter():
     assert default_engine_config(build_torus(4, 4)) == EngineConfig(sst=8, ttl=64)
     assert default_engine_config(build_torus(16, 16)) == EngineConfig(sst=32, ttl=256)

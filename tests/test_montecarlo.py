@@ -138,6 +138,10 @@ def test_experiment_config_rejects_non_integers(field, value):
 def test_experiment_config_takes_numpy_integers():
     config = small_config(rows=np.int64(4), replicates=np.int32(3), master_seed=np.uint64(31))
     assert run_sweep(config) == run_sweep(small_config())
+    # stored as ints, so the JSON aggregate can write the torus shape
+    shape = small_config(rows=np.int64(4), cols=np.int32(5), packets_per_replicate=np.int16(9))
+    assert {type(getattr(shape, f)) for f in ("rows", "cols", "replicates",
+                                               "packets_per_replicate")} == {int}
 
 
 def test_experiment_config_takes_member_values():

@@ -10,10 +10,10 @@ import torusflow
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = {
-    "AggregateMetrics", "CriticalPointEstimate", "Direction", "EngineConfig",
+    "AggregateMetrics", "Direction", "EngineConfig",
     "ExperimentConfig", "FailureMode", "FailureScenario", "HopKind", "HopRecord",
     "Method", "MethodTally", "PacketOutcome", "ReplicateResult", "TorusTopology",
-    "Verdict", "aggregate", "aggregate_sweep", "apply_bond_failures",
+    "Verdict", "aggregate_sweep", "apply_bond_failures",
     "apply_site_failures", "build_torus", "canonical_link", "default_engine_config",
     "diameter", "is_node_alive", "largest_component_fraction", "neighbor",
     "route_packet", "run_sweep", "seed_for",
@@ -28,7 +28,7 @@ def test_public_names_are_pinned():
         and not isinstance(getattr(torusflow, name), types.ModuleType)
     }
     assert public == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 29
+    assert len(PUBLIC_NAMES) == 27
 
 
 def test_library_use_example_runs(capsys):

@@ -68,6 +68,17 @@ def test_build_torus_rejects_degenerate_grids():
     assert build_torus(3, 3).num_nodes == 9
 
 
+def test_build_torus_takes_only_integers():
+    """A float shape would build and then fail with TypeError at its first
+    draw; NumPy integers are stored as the ints they equal."""
+    for rows, cols in ((4.0, 4), (4, np.float64(5.0)), (True, 4), ("4", 4)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_torus(rows, cols)
+    topo = build_torus(np.int64(4), np.int32(5))
+    assert topo == build_torus(4, 5)
+    assert (type(topo.rows), type(topo.cols)) == (int, int)
+
+
 def test_node_index_round_trip():
     topo = build_torus(5, 7)
     for idx in range(topo.num_nodes):
@@ -268,6 +279,17 @@ def test_scenario_repr():
     assert repr(built) == (
         "FailureScenario(3x5, site, p=0.25, seed=9, 5 dead links, 1 dead nodes)"
     )
+
+
+def test_scenario_rows_hold_one_byte_per_node():
+    """A short row would build and then fail with IndexError at its first
+    query."""
+    topo = build_torus(4, 4)
+    full = bytes([15] * 16), bytes([1] * 16)
+    for ports, nodes in ((b"", b""), (full[0][:-1], full[1]), (full[0], full[1] + b"\1")):
+        with pytest.raises(ValueError, match="one byte per node"):
+            FailureScenario(topo, "bond", 0.0, 0, ports, nodes)
+    assert largest_component_fraction(FailureScenario(topo, "bond", 0.0, 0, *full)) == 1.0
 
 
 def test_invalid_probability_rejected():
