@@ -11,7 +11,7 @@ seeds derived from its own cell key, one for its failure draw and one for
 its traffic draw, and the streams they seed are NumPy's default_rng
 streams. The block seeds all of its streams in one pass, draws each kind
 in one array pass (torusflow.streams), and turns the draws into stacked
-port masks and node indices (_block_inputs). It labels the components of every
+node bytes and node indices (_block_inputs). It labels the components of every
 scenario in one pass over the stack, routes every packet with every
 method in one forwarding._route_stack call, traced for the trace dump,
 and takes every replicate's result from one _cell_tallies call, which
@@ -32,6 +32,7 @@ import numpy as np
 
 from .forwarding import EngineConfig, Method, _route_stack, default_engine_config
 from .topology import (
+    _DEAD_NODE,
     FailureMode,
     FailureScenario,
     _check_p,
@@ -93,10 +94,9 @@ class ExperimentConfig:
         object.__setattr__(self, "rows", topo.rows)
         object.__setattr__(self, "cols", topo.cols)
         seed_for(self.master_seed, 0, 0)  # rejects a non-integer or out-of-range master seed
+        object.__setattr__(self, "p_values", tuple(map(_check_p, self.p_values)))
         if not self.p_values:
             raise ValueError("p_values must not be empty")
-        for p in self.p_values:
-            _check_p(p)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.packets_per_replicate < 1:
@@ -151,9 +151,9 @@ def _block_inputs(config: ExperimentConfig, p: float, p_index: int, replicate_in
     endpoints differ; it draws nothing when fewer than two nodes are alive,
     and that replicate gets no pairs. One streams.seeded pass seeds every
     stream of the block, and every replicate's batches come from one
-    streams.Integers array pass. Returns the (B, n) port mask and node
-    byte arrays, each packet's position in the block and its src and dst
-    node indices, in replicate then pair order, and the scenario seeds."""
+    streams.Integers array pass. Returns the (B, n) node byte array, each
+    packet's position in the block and its src and dst node indices, in
+    replicate then pair order, and the scenario seeds."""
     topo = build_torus(config.rows, config.cols)
     n, packets = topo.num_nodes, config.packets_per_replicate
     seeds = [seed_for(config.master_seed, p_index, ri) for ri in replicate_indices]
@@ -161,7 +161,8 @@ def _block_inputs(config: ExperimentConfig, p: float, p_index: int, replicate_in
     traffic_seeds = [_mix64(seed ^ _TRAFFIC_SALT) for seed in seeds]
     streams = seeded(scenario_seeds + traffic_seeds)  # scenario rows first
     count = len(seeds)
-    ports, alive = _draw_bytes(topo, config.mode, p, streams[:, :count])
+    ports = _draw_bytes(topo, config.mode, p, streams[:, :count])
+    alive = ports != _DEAD_NODE
     sizes = alive.sum(axis=1).tolist()
     first = np.cumsum([0, *sizes])  # each replicate's start in `nodes`
     nodes = np.flatnonzero(alive)  # stack index of every alive node
@@ -180,7 +181,7 @@ def _block_inputs(config: ExperimentConfig, p: float, p_index: int, replicate_in
         row = k // packets
         while dsts[k] == srcs[k]:
             dsts[k] = nodes[first[paired[row]] + traffic.draw(row)]
-    return ports, alive, rep, srcs - rep * n, dsts - rep * n, scenario_seeds
+    return ports, rep, srcs - rep * n, dsts - rep * n, scenario_seeds
 
 
 def replicate_inputs(
@@ -188,11 +189,9 @@ def replicate_inputs(
 ):
     """The exact scenario and (src, dst) pairs a replicate routes, for trace
     dumps and for re-deriving tallies with independent code."""
-    ports, alive, _, srcs, dsts, seeds = _block_inputs(
-        config, p, p_index, [replicate_index]
-    )
+    ports, _, srcs, dsts, seeds = _block_inputs(config, p, p_index, [replicate_index])
     topo = build_torus(config.rows, config.cols)
-    scenario = FailureScenario(topo, config.mode, p, seeds[0], ports[0], alive[0])
+    scenario = FailureScenario(topo, config.mode, p, seeds[0], ports[0])
     node_at = topo.node_at
     return scenario, [
         (node_at(s), node_at(t)) for s, t in zip(srcs.tolist(), dsts.tolist())
@@ -207,8 +206,8 @@ def _route_block(config: ExperimentConfig, p: float, p_index: int, replicate_ind
     each packet's trace."""
     rows, cols = config.rows, config.cols
     n = rows * cols
-    ports, alive, rep, srcs, dsts, _ = _block_inputs(config, p, p_index, replicate_indices)
-    labels = _stack_labels(rows, cols, ports.ravel(), alive.ravel())
+    ports, rep, srcs, dsts, _ = _block_inputs(config, p, p_index, replicate_indices)
+    labels = _stack_labels(rows, cols, ports.ravel())
     engine = config.resolved_engine()
     routed = _route_stack(
         ports, rep, srcs, dsts, rows, cols, config.methods, engine.sst, engine.ttl, record

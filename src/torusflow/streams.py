@@ -8,7 +8,8 @@ block through SeedSequence into a PCG64 state, NumPy's default bit
 generator, in one array pass, and both draws read any rows of it. Output
 k of a stream is a closed form in k and the stream's seeding, with jump
 constants cached per k, so a draw is one (streams, k) array pass of
-64-bit products. NumPy's random package is never imported: it costs
+64-bit products; a stream read past its pass is passed again at twice
+the length. NumPy's random package is never imported: it costs
 milliseconds of start-up and megabytes of memory, and the tests hold it
 as the oracle.
 """
@@ -29,10 +30,10 @@ _POOL = 4  # pool words; a seed below 2**128 fills at most the pool
 # PCG64: 128-bit LCG state, XSL-RR output
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _LOW32 = np.uint64(_MASK32)
 _U1, _U11, _U32, _U58, _U63 = (np.uint64(k) for k in (1, 11, 32, 58, 63))
+_SPARE = 4  # Integers' outputs per stream beyond its first draws
 
 
 def _integer(name: str, value) -> int:
@@ -189,7 +190,8 @@ class Integers:
     draw reads 32-bit words, the low half of each output first, and keeps
     Lemire's product m = word * n unless m mod 2**32 < (2**32 - n) mod n,
     when it reads another word; the draw is m >> 32. A stream that rejects
-    a word in the array pass is redrawn one word at a time.
+    a word in the array pass is redrawn one word at a time. Each stream's
+    row has _SPARE spare outputs; past them _outputs remakes it, twice as long.
     """
 
     def __init__(self, streams, bounds, count: int):
@@ -197,11 +199,12 @@ class Integers:
         if not all(2 <= n <= _MASK32 for n in self._bounds):
             raise ValueError("bounds must lie in [2, 2**32)")
         self._streams = streams
-        self._outs = _outputs(streams, (count + 1) // 2)
-        words = np.stack([self._outs & _LOW32, self._outs >> _U32], axis=-1)
+        outs = _outputs(streams, (count + 1) // 2 + _SPARE)
+        words = np.stack([outs & _LOW32, outs >> _U32], axis=-1)
         n = np.array(self._bounds, dtype=np.uint64)[:, None]
-        m = words.reshape(len(n), 2 * self._outs.shape[1])[:, :count] * n
+        m = words.reshape(len(n), 2 * outs.shape[1])[:, :count] * n
         self.first = (m >> _U32).astype(np.int64)
+        self._rows = list(outs)  # each stream's outputs computed so far
         self._used = [count] * len(self._bounds)  # words each stream has read
         rejects = ((m & _LOW32) < (np.uint64(1 << 32) - n) % n).any(axis=1)
         for b in np.flatnonzero(rejects).tolist():
@@ -212,11 +215,10 @@ class Integers:
         used = self._used[b]
         self._used[b] = used + 1
         k = used >> 1  # 0-based output index
-        if k < self._outs.shape[1]:
-            out = int(self._outs[b, k])
-        else:
-            init_hi, init_lo, inc_hi, inc_lo = (int(col[b, 0]) for col in self._streams)
-            out = _scalar_output(init_hi << 64 | init_lo, inc_hi << 64 | inc_lo, k + 1)
+        row = self._rows[b]
+        if k >= row.size:
+            row = self._rows[b] = _outputs(self._streams[:, b : b + 1], 2 * k + 2)[0]
+        out = int(row[k])
         return out >> 32 if used & 1 else out & _MASK32
 
     def draw(self, b: int) -> int:
@@ -227,17 +229,3 @@ class Integers:
             while m & _MASK32 < threshold:
                 m = self._word(b) * n
         return m >> 32
-
-
-def _scalar_output(init: int, inc: int, k: int) -> int:
-    """Output k >= 1 of the stream with this initstate and increment, in
-    Python integers. The geometric sum of MULT**i over i < k + 2 is
-    (MULT**(k+2) - 1) / (MULT - 1), exact when the power is taken modulo
-    (MULT - 1) * 2**128."""
-    modulus = (_PCG_MULT - 1) << 128
-    c = (pow(_PCG_MULT, k + 2, modulus) - 1) % modulus // (_PCG_MULT - 1)
-    state = (pow(_PCG_MULT, k + 1, 1 << 128) * init + c * inc) & _MASK128
-    hi, lo = state >> 64, state & _MASK64
-    rot = hi >> 58
-    x = hi ^ lo
-    return (x >> rot | x << (64 - rot)) & _MASK64

@@ -39,6 +39,7 @@ DIRECTIONS = (Direction.N, Direction.E, Direction.S, Direction.W)
 _OPPOSITE = (2, 3, 0, 1)
 _CLOCKWISE = (1, 2, 3, 0)
 _COUNTERCW = (3, 0, 1, 2)
+_DEAD_NODE = 1 << 4  # bit 4 of a node's byte: the node is dead, and so are its ports
 
 
 class FailureMode(Enum):
@@ -135,11 +136,11 @@ def all_links(topo: TorusTopology) -> list[LinkId]:
 class FailureScenario:
     """Frozen outcome of a failure draw on one topology.
 
-    The alive network is stored only as bytes, converted from one row of
-    each `_scenario_bytes` array: entry v of _port_mask has bit d set when
-    the link at node v's port d is up (symmetric across its two endpoints),
-    and entry v of _node_bits says whether node v is up. A live node can
-    have mask 0, so aliveness has its own byte.
+    The alive network is stored only as one byte per node, a row of a
+    `_scenario_bytes` array: entry v of _port_mask has bit d set when the
+    link at node v's port d is up, and is _DEAD_NODE when node v is dead.
+    Raises ValueError unless the row is one byte per node and is the
+    `_scenario_bytes` of its own dead E ports, S ports and nodes.
     """
 
     topology: TorusTopology
@@ -147,15 +148,15 @@ class FailureScenario:
     p: float
     seed: int
     _port_mask: bytes
-    _node_bits: bytes
 
     def __post_init__(self):
         object.__setattr__(self, "mode", FailureMode(self.mode))
         object.__setattr__(self, "_port_mask", bytes(self._port_mask))
-        object.__setattr__(self, "_node_bits", bytes(self._node_bits))
         n = self.topology.num_nodes
-        if len(self._port_mask) != n or len(self._node_bits) != n:
-            raise ValueError(f"scenario rows must hold one byte per node ({n})")
+        row = np.frombuffer(self._port_mask, dtype=np.uint8)[None]
+        dead = (row >> Direction.E & 1 == 0, row >> Direction.S & 1 == 0, row == _DEAD_NODE)
+        if row.size != n or not np.array_equal(row, _scenario_bytes(self.topology, *dead)):
+            raise ValueError(f"scenario row must hold one byte per node ({n}), as drawn")
 
     @cached_property
     def failed_links(self) -> frozenset[LinkId]:
@@ -171,7 +172,7 @@ class FailureScenario:
 
     @cached_property
     def failed_nodes(self) -> frozenset[NodeId]:
-        dead = np.flatnonzero(np.frombuffer(self._node_bits, dtype=np.uint8) == 0)
+        dead = np.flatnonzero(np.frombuffer(self._port_mask, dtype=np.uint8) == _DEAD_NODE)
         return frozenset(map(self.topology.node_at, dead.tolist()))
 
     @cached_property
@@ -179,12 +180,7 @@ class FailureScenario:
         """Connected-component label per node index over the alive network:
         the smallest node index of the component; dead nodes get -1."""
         topo = self.topology
-        return _stack_labels(
-            topo.rows,
-            topo.cols,
-            np.frombuffer(self._port_mask, dtype=np.uint8),
-            np.frombuffer(self._node_bits, dtype=np.uint8),
-        )
+        return _stack_labels(topo.rows, topo.cols, np.frombuffer(self._port_mask, dtype=np.uint8))
 
     def __repr__(self):
         return (
@@ -194,13 +190,13 @@ class FailureScenario:
         )
 
 
-def _stack_labels(rows: int, cols: int, port_mask, node_bits) -> np.ndarray:
+def _stack_labels(rows: int, cols: int, port_mask) -> np.ndarray:
     """Connected-component labels over a stack of scenarios of one shape.
-    `port_mask` and `node_bits` are uint8 arrays holding the scenarios'
-    bytes back to back, so node v of scenario b is stack index
-    b * rows * cols + v. A node's label is the smallest stack index of its
-    component over the alive network, which lies in its own scenario's
-    range; dead nodes get -1."""
+    `port_mask` is a uint8 array holding the scenarios' node bytes back to
+    back, so node v of scenario b is stack index b * rows * cols + v. A
+    node's label is the smallest stack index of its component over the
+    alive network, which lies in its own scenario's range; dead nodes
+    (byte _DEAD_NODE) get -1."""
     n = rows * cols
     own = np.arange(port_mask.size)
     base = own[::n, None]  # each scenario's first stack index
@@ -217,15 +213,15 @@ def _stack_labels(rows: int, cols: int, port_mask, node_bits) -> np.ndarray:
         if np.array_equal(low, labels):
             break
         labels = low
-    labels[node_bits == 0] = -1
+    labels[port_mask >= _DEAD_NODE] = -1
     return labels
 
 
 def _scenario_bytes(topo: TorusTopology, dead_e, dead_s, dead_nodes):
-    """Port mask and node bytes of a batch of scenarios, as (B, n) uint8
-    arrays, from (B, n) boolean arrays over node indices that mark dead E
-    ports, dead S ports and dead nodes. A dead node takes down its own four
-    ports and the facing port of each neighbor."""
+    """Node bytes of a batch of scenarios, as one (B, n) uint8 array, from
+    (B, n) boolean arrays over node indices that mark dead E ports, dead S
+    ports and dead nodes. A dead node takes down its own four ports and the
+    facing port of each neighbor, and its byte is _DEAD_NODE."""
     nbr = _neighbor_indices(topo.rows, topo.cols)
 
     def across(a, d):  # each scenario's entries at the neighbors across port d
@@ -238,7 +234,8 @@ def _scenario_bytes(topo: TorusTopology, dead_e, dead_s, dead_nodes):
     # E port, an N port its north neighbor's S
     north, west = across(up_s, Direction.N), across(up_e, Direction.W)
     mask = north | up_e << 1 | up_s << 2 | west << 3
-    return mask, (~dead_nodes).view(np.uint8)
+    mask[dead_nodes] = _DEAD_NODE
+    return mask
 
 
 def _draw_bytes(topo: TorusTopology, mode: FailureMode, p: float, streams):
@@ -247,7 +244,7 @@ def _draw_bytes(topo: TorusTopology, mode: FailureMode, p: float, streams):
     would draw, one per link in all_links order (bond) or per node (site),
     and the link or node fails when its uniform is below p. Every row comes
     from one streams.uniforms array pass."""
-    _check_p(p)
+    p = _check_p(p)
     n = topo.num_nodes
     dead = uniforms(streams, topo.num_links if mode is FailureMode.BOND else n) < p
     if mode is FailureMode.BOND:
@@ -258,8 +255,7 @@ def _draw_bytes(topo: TorusTopology, mode: FailureMode, p: float, streams):
 
 
 def _apply_failures(topo: TorusTopology, mode: FailureMode, p: float, seed: int):
-    mask, nodes = _draw_bytes(topo, mode, p, seeded([seed]))
-    return FailureScenario(topo, mode, p, seed, mask[0], nodes[0])
+    return FailureScenario(topo, mode, p, seed, _draw_bytes(topo, mode, p, seeded([seed]))[0])
 
 
 def apply_bond_failures(topo: TorusTopology, p: float, seed: int) -> FailureScenario:
@@ -287,17 +283,19 @@ def from_failures(topo: TorusTopology, links=(), nodes=()) -> FailureScenario:
         dead[0 if d == Direction.E else 1, 0, topo.node_index(node)] = True
     for node in nodes:
         dead[2, 0, topo.node_index(node)] = True
-    mask, alive = _scenario_bytes(topo, *dead)
-    return FailureScenario(topo, FailureMode.BOND, 0.0, 0, mask[0], alive[0])
+    return FailureScenario(topo, FailureMode.BOND, 0.0, 0, _scenario_bytes(topo, *dead)[0])
 
 
-def _check_p(p: float):
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"failure probability must be in [0, 1], got {p}")
+def _check_p(p) -> float:
+    """p as a float. Raises ValueError unless it is a non-bool number in [0, 1]."""
+    real = not isinstance(p, bool) and isinstance(p, (int, float, np.integer, np.floating))
+    if not (real and 0.0 <= p <= 1.0):
+        raise ValueError(f"failure probability must be a number in [0, 1], got {p!r}")
+    return float(p)
 
 
 def is_node_alive(scenario: FailureScenario, node: NodeId) -> bool:
-    return bool(scenario._node_bits[scenario.topology.node_index(node)])
+    return scenario._port_mask[scenario.topology.node_index(node)] != _DEAD_NODE
 
 
 def is_link_alive(scenario: FailureScenario, node: NodeId, d: Direction) -> bool:

@@ -391,7 +391,7 @@ def test_criterion_03_annihilation_invariant():
     violations = 0
     for p_index, p in enumerate(config.p_values):
         # every replicate of the p in one traced stacked call
-        ports, _, rep, srcs, dsts, _ = _block_inputs(
+        ports, rep, srcs, dsts, _ = _block_inputs(
             config, p, p_index, range(config.replicates))
         codes, _, _, traces, _ = _route_stack(
             ports, rep, srcs, dsts, 16, 16, RF_METHODS, engine.sst, engine.ttl, True)

@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torusflow.cli import (
@@ -322,6 +323,21 @@ def test_manifest_round_trip(tmp_path):
     assert config_from_manifest(manifest) == config
     assert manifest["aggregate_path"] == "x.csv"
     assert manifest["tool"] == "torusflow"
+
+
+@pytest.mark.parametrize("p_values", [tuple(np.linspace(0.05, 0.1, 2)), [0.05, 0.1]],
+                         ids=["numpy-floats", "list"])
+def test_manifest_round_trip_of_p_values_as_given(tmp_path, p_values):
+    """NumPy floats reached the manifest as 'np.float64(0.05)', which
+    config_from_manifest cannot read, and a list left the config
+    unhashable and unequal to its rebuild: the config stores a tuple of
+    floats."""
+    config = micro_config(p_values=p_values)
+    assert config.p_values == (0.05, 0.1) and {type(p) for p in config.p_values} == {float}
+    paths = run_experiment(config, micro_options(tmp_path))
+    rebuilt = config_from_manifest(read_manifest(paths["manifest_path"]))
+    assert dataclasses.replace(rebuilt, engine=None) == config
+    assert hash(dataclasses.replace(rebuilt, engine=None)) == hash(config)
 
 
 def test_manifest_round_trip_with_default_engine(tmp_path):

@@ -25,6 +25,7 @@ from torusflow.topology import (
     apply_site_failures,
     build_torus,
     is_connected_pair,
+    is_node_alive,
     neighbor,
 )
 
@@ -108,6 +109,9 @@ def test_experiment_config_validation():
         small_config(p_values=())
     with pytest.raises(ValueError):
         small_config(p_values=(0.1, 1.7))
+    for p in ("0.1", True, None):  # a string raised TypeError
+        with pytest.raises(ValueError, match="failure probability"):
+            small_config(p_values=(0.1, p))
     with pytest.raises(ValueError):
         small_config(replicates=0)
     with pytest.raises(ValueError):
@@ -191,12 +195,13 @@ def test_replicate_inputs_are_reproducible_alive_pairs():
         assert dst not in scen_a.failed_nodes
 
 
-def documented_pairs(node_bits: bytes, traffic_seed: int, packets: int):
+def documented_pairs(scenario, traffic_seed: int, packets: int):
     """The pair draw as documented, one replicate at a time: no draw when
     fewer than two nodes are alive, else both endpoint batches drawn first
     with the replicate's traffic generator, then every collision redrawn in
     packet order. Also returns the number of redraws."""
-    alive = np.flatnonzero(np.frombuffer(node_bits, dtype=np.uint8)).tolist()
+    topo = scenario.topology
+    alive = [v for v in range(topo.num_nodes) if is_node_alive(scenario, topo.node_at(v))]
     if len(alive) < 2:
         return [], [], 0
     rng = np.random.default_rng(traffic_seed)
@@ -233,15 +238,14 @@ def test_block_inputs_match_per_replicate_draw(overrides):
         for size in (1, 7, cfg.replicates):
             for start in range(0, cfg.replicates, size):
                 block = range(start, min(start + size, cfg.replicates))
-                ports, alive, rep, srcs, dsts, seeds = _block_inputs(cfg, p, p_index, block)
+                ports, rep, srcs, dsts, seeds = _block_inputs(cfg, p, p_index, block)
                 for b, ri in enumerate(block):
                     seed = seed_for(cfg.master_seed, p_index, ri)
                     want = draw(topo, p, _mix64(seed ^ _SCENARIO_SALT))
                     assert seeds[b] == want.seed
                     assert ports[b].tobytes() == want._port_mask, (p, ri)
-                    assert alive[b].tobytes() == want._node_bits, (p, ri)
                     want_srcs, want_dsts, redrawn = documented_pairs(
-                        want._node_bits, _mix64(seed ^ _TRAFFIC_SALT),
+                        want, _mix64(seed ^ _TRAFFIC_SALT),
                         cfg.packets_per_replicate,
                     )
                     mine = rep == b

@@ -59,6 +59,21 @@ def test_integers_long_streams(bound):
         assert np.array_equal(ints.first[b], rng.integers(0, bound, size=8192)), value
 
 
+@pytest.mark.parametrize("bound", [3, 2**31 + 1])
+def test_integers_read_far_past_the_array_pass(bound):
+    """1,200 draws per stream after a 10-draw pass, the streams taking
+    turns: each stream's row is made again at twice its length several
+    times, and no other stream's draws move."""
+    ints = Integers(seeded(EDGE_SEEDS), [bound] * len(EDGE_SEEDS), 10)
+    rngs = [np.random.default_rng(value) for value in EDGE_SEEDS]
+    for rng, row in zip(rngs, ints.first):
+        assert np.array_equal(row, rng.integers(0, bound, size=10))
+    for _ in range(1200):
+        for b, rng in enumerate(rngs):
+            assert ints.draw(b) == rng.integers(0, bound), EDGE_SEEDS[b]
+    assert min(row.size for row in ints._rows) >= 8 * (10 // 2 + 4)  # three doublings
+
+
 def test_integers_mixed_bounds_in_one_block():
     seeds = random_seeds(300, 5)
     bounds = [random.Random(value).choice(BOUNDS) for value in seeds]

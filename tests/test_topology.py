@@ -271,10 +271,10 @@ def test_scenario_repr():
     topo = build_torus(3, 5)
     dead = np.zeros((3, 1, topo.num_nodes), dtype=bool)  # E ports, S ports, nodes
     dead[0, 0, 2] = dead[2, 0, 7] = True
-    mask, alive = _scenario_bytes(topo, *dead)
-    built = FailureScenario(topo, "site", 0.25, 9, mask[0], alive[0])
+    mask = _scenario_bytes(topo, *dead)
+    built = FailureScenario(topo, "site", 0.25, 9, mask[0])
     assert built.mode is FailureMode.SITE
-    assert built._port_mask == mask.tobytes() and built._node_bits == alive.tobytes()
+    assert built._port_mask == mask.tobytes()
     assert built.failed_nodes == {(1, 2)}
     assert repr(built) == (
         "FailureScenario(3x5, site, p=0.25, seed=9, 5 dead links, 1 dead nodes)"
@@ -283,21 +283,29 @@ def test_scenario_repr():
 
 def test_scenario_rows_hold_one_byte_per_node():
     """A short row would build and then fail with IndexError at its first
-    query."""
+    query; a byte above 16 would be a dead node with a live port. A link
+    up at one end only, or a dead node whose neighbors keep their ports to
+    it, is not a drawn row either: reverse flow stepped into such a dead
+    node and failed with IndexError."""
     topo = build_torus(4, 4)
-    full = bytes([15] * 16), bytes([1] * 16)
-    for ports, nodes in ((b"", b""), (full[0][:-1], full[1]), (full[0], full[1] + b"\1")):
+    full = bytes([15] * 16)
+    one_end = b"\x0d" + full[1:]  # node 0's E port down, its east neighbor's W up
+    kept = full[:5] + b"\x10" + full[6:]  # node 5 dead, every port facing it up
+    bad = (b"", full[:-1], full + b"\x0f", full[:-1] + b"\x11", b"\x1f" + full[1:],
+           full[:5] + b"\x20" + full[6:], full[:-1] + b"\xff", one_end, kept)
+    for ports in bad:
         with pytest.raises(ValueError, match="one byte per node"):
-            FailureScenario(topo, "bond", 0.0, 0, ports, nodes)
-    assert largest_component_fraction(FailureScenario(topo, "bond", 0.0, 0, *full)) == 1.0
+            FailureScenario(topo, "bond", 0.0, 0, ports)
+    assert largest_component_fraction(FailureScenario(topo, "bond", 0.0, 0, full)) == 1.0
 
 
 def test_invalid_probability_rejected():
+    """A string p raised TypeError; a bool or None is not a probability."""
     topo = build_torus(4, 4)
-    for p in (-0.1, 1.5):
-        with pytest.raises(ValueError):
+    for p in (-0.1, 1.5, float("nan"), "0.1", True, None):
+        with pytest.raises(ValueError, match="failure probability"):
             apply_bond_failures(topo, p, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="failure probability"):
             apply_site_failures(topo, p, seed=0)
 
 
@@ -307,6 +315,12 @@ def test_largest_component_with_one_isolated_node():
     assert is_node_alive(scen, (0, 0))
     assert alive_degree(scen, (0, 0)) == 0
     assert largest_component_fraction(scen) == 15 / 16
+    # the isolated live node's byte is its empty port mask; a dead node's
+    # byte is the dead-node bit alone
+    assert scen._port_mask[0] == 0
+    dead = from_failures(topo, nodes=[(0, 0)])
+    assert dead._port_mask[0] == 16 and not is_node_alive(dead, (0, 0))
+    assert largest_component_fraction(dead) == 15 / 16
     assert not is_connected_pair(scen, (0, 0), (1, 1))
     assert is_connected_pair(scen, (1, 1), (3, 2))
     assert is_connected_pair(scen, (2, 2), (2, 2))
@@ -418,9 +432,7 @@ def test_stacked_labels_equal_each_scenarios_labels():
                            (FailureMode.SITE, (0.35, 0.41, 0.05, 1.0))):
         scens = [DRAWS[mode](topo, p, seed) for p in p_values for seed in range(3)]
         labels = _stack_labels(
-            16, 16,
-            np.frombuffer(b"".join(s._port_mask for s in scens), dtype=np.uint8),
-            np.frombuffer(b"".join(s._node_bits for s in scens), dtype=np.uint8),
+            16, 16, np.frombuffer(b"".join(s._port_mask for s in scens), dtype=np.uint8)
         )
         assert labels.shape == (len(scens) * n,)
         for b, scen in enumerate(scens):
@@ -465,7 +477,6 @@ def test_draw_order_and_hand_built_scenarios_agree():
                         topo, links=scen.failed_links, nodes=scen.failed_nodes
                     )
                     assert rebuilt._port_mask == scen._port_mask
-                    assert rebuilt._node_bits == scen._node_bits
                     for v in map(topo.node_at, range(topo.num_nodes)):
                         for d in DIRECTIONS:
                             alive = is_link_alive(scen, v, d)
