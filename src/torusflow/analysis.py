@@ -80,17 +80,24 @@ def aggregate_sweep(
     results: list[ReplicateResult], config: ExperimentConfig
 ) -> list[AggregateMetrics]:
     """One row per (method, p), methods in declaration order of the Method
-    enum, p ascending within each method."""
+    enum, p ascending within each method. The results may come in any
+    order; they are grouped into p cells first, each in its given order."""
     by_p = {}
     for r in results:
         by_p.setdefault(r.p_index, []).append(r)
-    p_order = sorted(by_p, key=lambda i: config.p_values[i])
-    out = []
-    for method in Method:
-        if method not in config.methods:
-            continue
-        for p_index in p_order:
-            out.append(
-                _aggregate(by_p[p_index], method, config.mode, config.p_values[p_index])
-            )
-    return out
+    return _aggregate_cells(by_p.values(), config)
+
+
+def _aggregate_cells(cells, config: ExperimentConfig) -> list[AggregateMetrics]:
+    """aggregate_sweep's rows from an iterable of p cells, each a list of
+    one p's results. Each cell is aggregated as it arrives and only its
+    rows are kept, so a streamed sweep (montecarlo._sweep_cells) holds one
+    cell's results at a time. Cells of equal p keep their arrival order."""
+    methods = [m for m in Method if m in config.methods]
+
+    def cell_rows(cell):
+        p = config.p_values[cell[0].p_index]
+        return p, [_aggregate(cell, m, config.mode, p) for m in methods]
+
+    by_p = sorted(map(cell_rows, cells), key=lambda pair: pair[0])
+    return [rows[i] for i in range(len(methods)) for _, rows in by_p]

@@ -23,9 +23,9 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .analysis import AggregateMetrics, aggregate_sweep
+from .analysis import AggregateMetrics, _aggregate_cells, aggregate_sweep
 from .forwarding import EngineConfig, HopKind, Method, default_engine_config
-from .montecarlo import ExperimentConfig, _blocks, _route_block, run_sweep
+from .montecarlo import ExperimentConfig, _blocks, _route_block, _sweep_cells
 from .potential import _base_tables, _relative_index
 from .topology import Direction, FailureMode, _neighbor_table, build_torus
 
@@ -363,10 +363,9 @@ def run_experiment(config: ExperimentConfig, options) -> dict:
 
     traces_path = os.path.join(out_dir, "traces.csv")
     if options["dump_traces"]:
-        results = emit_traces(config, traces_path)
-    else:
-        results = run_sweep(config, workers=options["workers"])
-    metrics = aggregate_sweep(results, config)
+        metrics = aggregate_sweep(emit_traces(config, traces_path), config)
+    else:  # each p cell is aggregated as it is routed, then dropped
+        metrics = _aggregate_cells(_sweep_cells(config, options["workers"]), config)
 
     outputs = []
     aggregate_path = os.path.join(out_dir, f"aggregate.{ext}")

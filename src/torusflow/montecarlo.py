@@ -19,7 +19,10 @@ counts and sums over (replicate, method) cells. A replicate with fewer than
 two alive nodes routes no packets and is tallied like any other, its
 packets all dropped as structurally unreachable. A block stacks at most
 _BLOCK_NODES nodes, so memory stays bounded on large tori, and no result
-depends on where blocks split. The master seed is an integer in [0, 2**64).
+depends on where blocks split. A sweep yields each p's results as one cell
+as soon as its last block is routed (_sweep_cells), so a caller that
+aggregates and drops each cell holds one p's results at a time; run_sweep
+joins the cells. The master seed is an integer in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -105,6 +108,8 @@ class ExperimentConfig:
             raise ValueError("methods must not be empty")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate methods")
+        if self.engine is not None and not isinstance(self.engine, EngineConfig):
+            raise ValueError(f"engine must be an EngineConfig or None, got {self.engine!r}")
 
     def resolved_engine(self) -> EngineConfig:
         if self.engine is not None:
@@ -282,10 +287,13 @@ def _blocks(config: ExperimentConfig, workers: int = 1):
     ]
 
 
-def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ReplicateResult]:
-    """All replicates for all p values, ordered by (p_index,
-    replicate_index). The result is a pure function of the config; the
-    worker count only changes wall time."""
+def _sweep_cells(config: ExperimentConfig, workers: int = 1):
+    """Each p cell's results in sweep order, one list per p in replicate
+    order, yielded as soon as the cell's last block is routed and before
+    the next p's first block is taken, so a caller that drops each cell
+    holds one p's results at a time. The blocks are routed in order by
+    the serial map or by the pool's ordered map; the pool stays open while
+    the generator is consumed."""
     # a forked pool starts all its workers at once, so ask for no more
     # than there are cores, nor than there are blocks
     workers = min(workers, os.cpu_count() or 1)
@@ -293,10 +301,25 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ReplicateResul
     args = (itertools.repeat(config), *zip(*blocks))
     workers = min(workers, len(blocks))
     if workers <= 1:
-        chunks = map(_route_block, *args)
+        yield from _cells(blocks, map(_route_block, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_route_block, *args))
-    return [r for chunk in chunks for r in chunk]
+            yield from _cells(blocks, pool.map(_route_block, *args))
+
+
+def _cells(blocks, chunks):
+    """The results `chunks` of `blocks`, block by block, joined into one
+    list per p cell; a cell's blocks are contiguous in `blocks`, and no
+    chunk past a cell's last is taken before the cell is yielded."""
+    chunks = iter(chunks)
+    for _, cell in itertools.groupby(blocks, key=lambda block: block[1]):
+        yield [r for _ in cell for r in next(chunks)]
+
+
+def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[ReplicateResult]:
+    """All replicates for all p values, ordered by (p_index,
+    replicate_index). The result is a pure function of the config; the
+    worker count only changes wall time."""
+    return [r for cell in _sweep_cells(config, workers) for r in cell]

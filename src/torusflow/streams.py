@@ -44,6 +44,15 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """value as a stream seed: an integer by the _integer rule, and not
+    negative. Raises ValueError otherwise."""
+    seed = _integer("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 @functools.lru_cache(maxsize=None)
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     """Read-only init * mult**t mod 2**32 for t = 0 .. count, as a uint32
@@ -92,9 +101,7 @@ def seeded(seeds) -> np.ndarray:
     Row b of each column is seeds[b]'s stream; uniforms and Integers draw
     from any selection of rows. Raises ValueError for a seed that is not a
     non-negative integer."""
-    seeds = [_integer("seed", s) for s in seeds]
-    if any(s < 0 for s in seeds):
-        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
+    seeds = list(map(_seed, seeds))
     lengths = [max(_POOL, -(-s.bit_length() // 32)) for s in seeds]
     state = np.empty((8, len(seeds)), dtype=np.uint32)
     consts = _hash_consts(_INIT_B, _MULT_B, 8)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .streams import _integer, seeded, uniforms
+from .streams import _integer, _seed, seeded, uniforms
 
 NodeId = tuple[int, int]
 LinkId = tuple[NodeId, "Direction"]
@@ -140,7 +140,9 @@ class FailureScenario:
     `_scenario_bytes` array: entry v of _port_mask has bit d set when the
     link at node v's port d is up, and is _DEAD_NODE when node v is dead.
     Raises ValueError unless the row is one byte per node and is the
-    `_scenario_bytes` of its own dead E ports, S ports and nodes.
+    `_scenario_bytes` of its own dead E ports, S ports and nodes, p is a
+    probability (_check_p) and the seed a non-negative integer; p is
+    stored as a float and the seed as an int.
     """
 
     topology: TorusTopology
@@ -151,6 +153,8 @@ class FailureScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", FailureMode(self.mode))
+        object.__setattr__(self, "p", _check_p(self.p))
+        object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "_port_mask", bytes(self._port_mask))
         n = self.topology.num_nodes
         row = np.frombuffer(self._port_mask, dtype=np.uint8)[None]
@@ -207,8 +211,11 @@ def _stack_labels(rows: int, cols: int, port_mask) -> np.ndarray:
         hop[d] = np.where(port_mask >> d & 1, (row + base).ravel(), own)
     labels = own
     while True:
-        # the node's own label must take part, or labels can oscillate
-        low = np.minimum(labels, labels[hop].min(axis=0))
+        # the node's own label must take part, or labels can oscillate;
+        # one port row at a time, so a round gathers n labels, not 4n
+        low = labels.copy()
+        for row in hop:
+            np.minimum(low, labels[row], out=low)
         low = low[low]
         if np.array_equal(low, labels):
             break

@@ -14,6 +14,7 @@ import pytest
 
 from torusflow.cli import (
     AGGREGATE_COLUMNS,
+    emit_aggregate,
     FIGURE_COLUMNS,
     REGIMES,
     config_from_manifest,
@@ -27,7 +28,8 @@ from torusflow.cli import (
     run_experiment,
     write_manifest,
 )
-from torusflow import cli, montecarlo
+from torusflow import analysis, cli, montecarlo
+from torusflow.analysis import aggregate_sweep
 from torusflow.forwarding import EngineConfig, Method, Verdict, route_packet
 from torusflow.montecarlo import ExperimentConfig, _blocks, replicate_inputs, run_sweep
 from torusflow.potential import _base_grid
@@ -484,6 +486,55 @@ def test_trace_dump_routes_each_block_once(tmp_path, monkeypatch, overrides):
         run_experiment(config, micro_options(out, dump_traces=True, workers=workers))
         assert calls == [True] * len(_blocks(config))
         assert (out / "aggregate.csv").read_bytes() == want
+
+
+def test_each_cell_is_aggregated_before_the_next_p_is_routed(tmp_path, monkeypatch):
+    """A run holds one p cell's results at a time: every method's row of a
+    cell is aggregated after the cell's last block is routed and before
+    the next p's first block is. 12x12 routes 113 replicates per block,
+    so each p here has three blocks."""
+    config = micro_config(rows=12, cols=12, p_values=(0.2, 0.05, 0.1),
+                          replicates=230, packets_per_replicate=2)
+    events = []
+    route_block, aggregate = montecarlo._route_block, analysis._aggregate
+
+    def routed(config, p, p_index, replicates, *rest):
+        events.append(("route", p))
+        return route_block(config, p, p_index, replicates, *rest)
+
+    def aggregated(rows, method, mode, p):
+        events.append(("aggregate", p))
+        return aggregate(rows, method, mode, p)
+
+    monkeypatch.setattr(montecarlo, "_route_block", routed)
+    monkeypatch.setattr(analysis, "_aggregate", aggregated)
+    run_experiment(config, micro_options(tmp_path))
+    per_p = len(_blocks(config)) // len(config.p_values)
+    assert per_p == 3
+    assert events == [
+        event for p in config.p_values
+        for event in [("route", p)] * per_p + [("aggregate", p)] * len(config.methods)
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("p, methods", [
+    ("0.3,0.05,0.2,0.05", "NF,LFA,RF_CF,RF_LF"),
+    ("0.2,0.0,0.1", "RF_LF,LFA"),
+], ids=["unsorted_p", "no_NF"])
+def test_streamed_aggregate_equals_aggregate_sweep(tmp_path, p, methods, workers):
+    """The CLI aggregates each p cell as it is routed. Its bytes are those
+    of aggregate_sweep on the whole run_sweep list, which sorts p and
+    orders the methods itself, for any worker count."""
+    argv = ["--rows", "5", "--cols", "4", "--p", p, "--methods", methods,
+            "--replicates", "6", "--packets-per-replicate", "7", "--seed", "11",
+            "--out-dir", str(tmp_path / "cli"), "--workers", str(workers)]
+    assert main(argv) == 0
+    config, _ = parse_args(argv)
+    emit_aggregate(aggregate_sweep(run_sweep(config), config), config,
+                   str(tmp_path / "want.csv"))
+    assert ((tmp_path / "cli" / "aggregate.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
 
 
 def test_main_end_to_end(tmp_path, capsys):

@@ -172,6 +172,15 @@ def test_experiment_config_rejects_unknown_modes_and_methods(field, value):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize("engine", [(3, 17), "default", {"sst": 3, "ttl": 17}],
+                         ids=["tuple", "str", "dict"])
+def test_experiment_config_takes_only_an_engine_config(engine):
+    """A tuple engine built, and run_sweep then raised AttributeError:
+    'tuple' object has no attribute 'sst'."""
+    with pytest.raises(ValueError, match="EngineConfig"):
+        small_config(engine=engine)
+
+
 def test_resolved_engine_defaults_and_override():
     cfg = small_config()
     assert cfg.resolved_engine() == EngineConfig(sst=8, ttl=64)

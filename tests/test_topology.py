@@ -299,6 +299,30 @@ def test_scenario_rows_hold_one_byte_per_node():
     assert largest_component_fraction(FailureScenario(topo, "bond", 0.0, 0, full)) == 1.0
 
 
+@pytest.mark.parametrize("p, seed, match", [
+    ("x", 0, "failure probability"), (2.5, 0, "failure probability"),
+    (True, 0, "failure probability"), (None, 0, "failure probability"),
+    (0.1, -5, "non-negative"), (0.1, 1.5, "must be an integer"),
+    (0.1, True, "must be an integer"), (0.1, "3", "must be an integer"),
+])
+def test_scenario_checks_its_p_and_seed(p, seed, match):
+    """FailureScenario(..., "x", -5, row) built and printed p=x, seed=-5,
+    a scenario that no draw can give. p follows the draw's rule and the
+    seed the stream seeds' rule."""
+    topo = build_torus(4, 4)
+    with pytest.raises(ValueError, match=match):
+        FailureScenario(topo, "bond", p, seed, from_failures(topo)._port_mask)
+
+
+def test_scenario_stores_p_as_a_float_and_the_seed_as_an_int():
+    topo = build_torus(4, 4)
+    built = FailureScenario(topo, "bond", np.float64(0.25), np.uint64(2**64 - 1),
+                            from_failures(topo)._port_mask)
+    assert (type(built.p), type(built.seed)) == (float, int)
+    assert repr(built) == ("FailureScenario(4x4, bond, p=0.25, "
+                           "seed=18446744073709551615, 0 dead links, 0 dead nodes)")
+
+
 def test_invalid_probability_rejected():
     """A string p raised TypeError; a bool or None is not a probability."""
     topo = build_torus(4, 4)
