@@ -93,9 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated subset of fig4,fig5,fig6")
     ap.add_argument("--dump-traces", action="store_true",
                     help="write one line per hop (small runs only)")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="most sweep worker processes; no effect with "
-                    "--dump-traces, which routes in one process")
+    ap.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                    help="most sweep worker processes (default: the core "
+                    "count, %(default)s here); no effect with --dump-traces, "
+                    "which routes in one process")
     return ap
 
 
@@ -147,9 +148,11 @@ def parse_args(argv=None):
         "dump_traces": ns.dump_traces,
         "workers": ns.workers,
     }
-    for fig in options["figures"]:
+    for i, fig in enumerate(options["figures"]):
         if fig not in FIGURE_COLUMNS:
             ap.error(f"--figures: unknown figure {fig!r}")
+        if fig in options["figures"][:i]:
+            ap.error(f"--figures: duplicate figure {fig!r}")
     return config, options
 
 

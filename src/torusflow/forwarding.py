@@ -27,6 +27,7 @@ when it strictly lowers the potential toward the destination.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -148,10 +149,19 @@ _EGRESS = tuple(_egress(m, r, p) for m in range(16) for r in range(4) for p in r
 # Verdict codes 0=delivered 1=no_egress 2=ttl; a trace is a list of hop
 # codes or None: a hop from node index `at` out of port d is the int
 # at << 3 | d << 1 | kind, kind 1 for a reverse hop, so code >> 1 is the
-# neighbor table's index 4 * at + d
+# neighbor table's index 4 * at + d. A traced hop appends the shared int
+# _hop_codes(n)[code], not a fresh one, so a trace holds one reference
+# per hop
 
 # lowest set bit of a 4-bit port mask, -1 for none
 _FIRST_PORT = tuple((m & -m).bit_length() - 1 for m in range(16))
+
+
+@functools.lru_cache(maxsize=None)
+def _hop_codes(n: int) -> list:
+    """Every hop code of an n-node torus, entry c being the int c. Fetched
+    only when tracing; never mutated."""
+    return list(range(8 * n))
 
 
 def _continue(method, starts, nbr, tables, sst: int, ttl: int, traces):
@@ -174,6 +184,7 @@ def _continue(method, starts, nbr, tables, sst: int, ttl: int, traces):
     annihilation entries."""
     nxt, desc = tables[1], tables[3]
     record = traces is not None
+    hop = _hop_codes(len(nbr) // 4) if record else None
     lfa = method is Method.LFA
     reverse = method is Method.RF_CF or method is Method.RF_LF
     start_policy = 0 if method is Method.RF_CF else 1
@@ -194,7 +205,7 @@ def _continue(method, starts, nbr, tables, sst: int, ttl: int, traces):
                     if d < 0:
                         break
                 if record:
-                    trace.append(at << 3 | d << 1)
+                    trace.append(hop[at << 3 | d << 1])
                 at = nbr[4 * at + d]
                 rel = nbr[4 * rel + d]
                 hops += 1
@@ -225,11 +236,11 @@ def _continue(method, starts, nbr, tables, sst: int, ttl: int, traces):
                     lam += 1
                 if desc[rel] >> d & 1:
                     if record:
-                        trace.append(at << 3 | d << 1)
+                        trace.append(hop[at << 3 | d << 1])
                 else:
                     rev_hops += 1
                     if record:
-                        trace.append(at << 3 | d << 1 | 1)
+                        trace.append(hop[at << 3 | d << 1 | 1])
                 ingress = _OPP[d]
                 at = nbr[4 * at + d]
                 rel = nbr[4 * rel + d]
@@ -267,9 +278,9 @@ def _route_stack(ports, rep, srcs, dsts, rows: int, cols: int, methods, sst: int
     and NF's routes end there. One _continue call per other method routes
     on from every packet stopped at a dead table port. With `record` each
     step keeps its packets and hop codes; a stable sort on the packet
-    index puts each packet's codes in step order, and every continuation
-    extends its own copy of that prefix and returns its annihilation
-    points."""
+    index puts each packet's codes in step order, as the shared
+    _hop_codes ints, and every continuation extends its own copy of that
+    prefix and returns its annihilation points."""
     nxt, down = _base_arrays(rows, cols)[1:3]
     nbr = _neighbor_indices(rows, cols).ravel()
     flat, base = ports.ravel(), rep * (rows * cols)
@@ -301,6 +312,7 @@ def _route_stack(ports, rep, srcs, dsts, rows: int, cols: int, methods, sst: int
     if record:
         who, hop_codes = (np.concatenate(x) for x in zip(*steps))
         hop_codes = hop_codes[np.argsort(who, kind="stable")].tolist()
+        hop_codes = list(map(_hop_codes(rows * cols).__getitem__, hop_codes))
         ends = np.cumsum(hops).tolist()
         prefixes = [hop_codes[e - h:e] for e, h in zip(ends, hops.tolist())]
         traces = [prefixes[:] for _ in methods]
@@ -341,7 +353,8 @@ def route_packet(
 ) -> PacketOutcome:
     """Route one packet and report what happened.
 
-    src and dst must be distinct alive nodes; method may be a Method value.
+    src and dst must be distinct alive nodes; method may be a Method value;
+    config is an EngineConfig, or None for the shape's default.
     With record_trace the outcome carries the full hop trace and annihilation
     points; without it those fields are empty and only the counters are filled.
     """
@@ -353,6 +366,8 @@ def route_packet(
         raise ValueError("src and dst must differ")
     if not is_node_alive(scenario, src) or not is_node_alive(scenario, dst):
         raise ValueError("src and dst must both be alive")
+    if config is not None and not isinstance(config, EngineConfig):
+        raise ValueError(f"config must be an EngineConfig or None, got {config!r}")
     cfg = config if config is not None else default_engine_config(topo)
     rows, cols, ports = topo.rows, topo.cols, scenario._port_mask
     nbr, tables = _neighbor_table(rows, cols), _base_tables(rows, cols)

@@ -91,7 +91,7 @@ def test_parse_args_defaults_to_medium_regime():
     assert config.p_values[-1] == pytest.approx(0.1)
     assert config.engine is None
     assert options["format"] == "csv"
-    assert options["workers"] == 1
+    assert options["workers"] == (os.cpu_count() or 1)
 
 
 def test_parse_args_named_regimes():
@@ -142,6 +142,7 @@ def test_parse_args_rejections(capsys):
         (["--points", "0"], "points"),
         (["--sst", "10", "--ttl", "2"], "ttl=2"),
         (["--figures", "fig9"], "fig9"),
+        (["--figures", "fig4,fig4"], "fig4"),
         (["--replicates", "0"], "replicates"),
         (["--packets-per-replicate", "0"], "packets_per_replicate"),
         (["--workers", "0"], "workers"),

@@ -17,6 +17,7 @@ from torusflow.forwarding import (
     _EGRESS,
     _VERDICTS,
     _continue,
+    _hop_codes,
     _route_stack,
     default_engine_config,
     route_packet,
@@ -249,6 +250,14 @@ def test_route_packet_validates_endpoints():
         route_packet(dead, Method.NF, (2, 2), (0, 0))
     with pytest.raises(ValueError):
         route_packet(dead, Method.NF, (0, 0), (2, 2))
+
+
+@pytest.mark.parametrize("config", [(3, 17), {"sst": 3, "ttl": 17}, 17])
+def test_route_packet_takes_only_an_engine_config(config):
+    scenario = apply_bond_failures(build_torus(4, 4), 0.1, 3)
+    with pytest.raises(ValueError, match="config must be an EngineConfig or None"):
+        route_packet(scenario, "RF_CF", (0, 0), (2, 2), config=config)
+    assert route_packet(scenario, "RF_CF", (0, 0), (2, 2), EngineConfig(3, 17)).total_hops
 
 
 def test_route_packet_takes_method_values():
@@ -706,6 +715,34 @@ def test_continue_batch_matches_reference():
                     assert list(map(hop, traces[mi][k])) == want["trace"], where
                     annih = list(map(topo.node_at, annihs[mi][k]))
                     assert annih == want["annihilations"], where
+
+
+def test_traced_hops_share_one_int_per_hop_code():
+    """16x16 bond at p = 0.1438, where loops are common: every hop of
+    every method's trace is the shape's own _hop_codes int, whether the
+    lockstep prefix, a continuation or a loop cut's period copy put it
+    there, and tracing changes no verdict or counter. Codes above 256
+    carry the check, since CPython caches the small ints."""
+    topo = build_torus(16, 16)
+    cfg = default_engine_config(topo)
+    rng = random.Random(30)
+    scenarios = [apply_bond_failures(topo, 0.1438, seed=3000 + s) for s in range(4)]
+    rep, srcs, dsts = (np.array(x) for x in zip(*(
+        (b, topo.node_index(src), topo.node_index(dst))
+        for b, scen in enumerate(scenarios) for src, dst in alive_pairs(scen, rng, 150))))
+    args = (port_stack(scenarios), rep, srcs, dsts, 16, 16, ALL_METHODS, cfg.sst, cfg.ttl)
+    codes, hops, revs, traces, _ = _route_stack(*args, record=True)
+    for got, untraced in zip((codes, hops, revs), _route_stack(*args)):
+        assert np.array_equal(got, untraced)
+    assert (codes == 2).any()  # some packets loop until their ttl
+    table = _hop_codes(topo.num_nodes)
+    large = 0
+    for mi, method in enumerate(ALL_METHODS):
+        for k, trace in enumerate(traces[mi]):
+            assert len(trace) == hops[mi, k], (method, k)
+            assert all(c is table[c] for c in trace), (method, k)
+            large += sum(c > 256 for c in trace)
+    assert large > 10_000
 
 
 # ---------------------------------------------------------------------------
